@@ -16,14 +16,21 @@ import time
 
 import numpy as np
 
+from repro.obs.metrics import percentile
+
 N_CLIENTS = 50
 
 
-def _percentile(sorted_ms, q):
-    if not sorted_ms:
-        return 0.0
-    idx = min(len(sorted_ms) - 1, int(round(q / 100.0 * (len(sorted_ms) - 1))))
-    return sorted_ms[idx]
+def latency_summary(latencies_ms):
+    """Mean, p50/p90/p99 and max of the per-request latencies (ms)."""
+    lat = sorted(latencies_ms)
+    return {
+        "mean": round(float(np.mean(lat)), 3),
+        "p50": round(percentile(lat, 50), 3),
+        "p90": round(percentile(lat, 90), 3),
+        "p99": round(percentile(lat, 99), 3),
+        "max": round(lat[-1], 3),
+    }
 
 
 def test_socket_soak_latency_json(quick, wallclock_record, results_dir):
@@ -97,7 +104,6 @@ def test_socket_soak_latency_json(quick, wallclock_record, results_dir):
     assert stats["frames_in"] == total and stats["frames_out"] == total
     assert stats["undeliverable"] == 0
 
-    lat = sorted(latencies_ms.values())
     summary = {
         "clients": N_CLIENTS,
         "requests": total,
@@ -105,13 +111,7 @@ def test_socket_soak_latency_json(quick, wallclock_record, results_dir):
         "pump_ms": 2.0,
         "wall_s": round(wall_s, 3),
         "throughput_rps": round(total / wall_s, 1),
-        "latency_ms": {
-            "mean": round(float(np.mean(lat)), 3),
-            "p50": round(_percentile(lat, 50), 3),
-            "p90": round(_percentile(lat, 90), 3),
-            "p99": round(_percentile(lat, 99), 3),
-            "max": round(lat[-1], 3),
-        },
+        "latency_ms": latency_summary(latencies_ms.values()),
         "lost": 0,
         "duplicated": 0,
         "peak_connections": stats["peak_connections"],

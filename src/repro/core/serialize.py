@@ -1,18 +1,36 @@
-"""Serialization for parameters, keys, plaintexts and ciphertexts.
+"""Serialization for parameters, keys, plaintexts, ciphertexts and tickets.
 
-NumPy ``.npz``-based: portable, dependency-free, versioned.  Secret keys
-serialize too (with an explicit function name so the call site shows the
-security decision).  Contexts are *not* serialized — they are derived
-deterministically from parameters, so ``save_params``/``load_params``
-plus a fresh ``CkksContext`` reproduces everything.
+Every kind is one flat little-endian blob — like SEAL's, a fixed header
+followed by the raw limbs:
+
+.. code-block:: text
+
+    header   magic b"RPRB" | version u16 | kind u8 | flags u8 | n_arrays u32
+             | tail_len u32 | scale f64 | crc32 u32                   (28 B)
+    arrays   per array: dtype u8 (1 uint64, 2 int64) | ndim u8
+             | shape u32 x 4, unused dims 0                           (18 B)
+    tail     UTF-8 JSON with the non-array fields of params, Galois keys
+             and session tickets (empty for the other kinds)
+    payload  each array's C-order bytes, back to back
+
+Kinds: 1 params, 2 plaintext, 3 ciphertext, 4 public key, 5 secret key,
+6 relin key, 7 Galois keys, 8 session ticket.  Flag bit 0 is ``is_ntt``.
+The CRC32 (``zlib.crc32``) covers every other byte, so a flipped limb,
+scale or shape byte is refused, not decoded into a different object.
+Loaders raise ``ValueError`` on any other magic, version, kind, length
+or checksum (the npz container of format version 1 included) and return
+writable copies, never views of the input.
 """
 
 from __future__ import annotations
 
-import io
 import json
-from dataclasses import dataclass
-from typing import BinaryIO, Union
+import math
+import struct
+import zlib
+from dataclasses import asdict, dataclass
+from itertools import accumulate
+from typing import BinaryIO
 
 import numpy as np
 
@@ -22,178 +40,172 @@ from .params import CkksParameters
 from .plaintext import Plaintext
 
 __all__ = [
-    "FORMAT_VERSION",
-    "to_bytes", "from_bytes",
-    "save_params", "load_params",
-    "save_ciphertext", "load_ciphertext",
-    "save_plaintext", "load_plaintext",
-    "save_public_key", "load_public_key",
+    "FORMAT_VERSION", "to_bytes", "from_bytes",
+    "save_params", "load_params", "save_ciphertext", "load_ciphertext",
+    "save_plaintext", "load_plaintext", "save_public_key", "load_public_key",
     "save_secret_key_insecure", "load_secret_key",
-    "save_relin_key", "load_relin_key",
-    "save_galois_keys", "load_galois_keys",
+    "save_relin_key", "load_relin_key", "save_galois_keys", "load_galois_keys",
     "SessionTicket", "save_session_ticket", "load_session_ticket",
     "TicketError", "StaleTicketError",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-PathOrFile = Union[str, BinaryIO]
-
-
-def _meta(kind: str, **extra) -> np.ndarray:
-    payload = {"version": FORMAT_VERSION, "kind": kind, **extra}
-    return np.frombuffer(json.dumps(payload).encode(), dtype=np.uint8)
-
-
-def _read_meta(npz, expected_kind: str) -> dict:
-    try:
-        payload = json.loads(bytes(npz["__meta__"].tobytes()).decode())
-    except KeyError:
-        raise ValueError("not a repro serialization (missing metadata)") from None
-    if payload.get("version") != FORMAT_VERSION:
-        raise ValueError(
-            f"format version {payload.get('version')} unsupported "
-            f"(expected {FORMAT_VERSION})"
-        )
-    if payload.get("kind") != expected_kind:
-        raise ValueError(
-            f"expected a {expected_kind!r}, found {payload.get('kind')!r}"
-        )
-    return payload
+_HEAD = struct.Struct("<4sHBBIIdI")
+_CRC_AT = _HEAD.size - 4
+_ARRAY = struct.Struct("<BB4I")
+#: Kind and dtype codes are 1 + the index in these tuples.
+_KINDS = ("params", "plaintext", "ciphertext", "public_key", "secret_key",
+          "relin_key", "galois_keys", "session_ticket")
+_DTYPES = (np.dtype("<u8"), np.dtype("<i8"))
 
 
-# --- parameters -------------------------------------------------------------
+def _pack(fp, kind, arrays=(), *, scale=0.0, is_ntt=False, meta=None):
+    arrays = [np.ascontiguousarray(a, a.dtype.newbyteorder("<"))
+              for a in arrays]
+    tail = json.dumps(meta).encode() if meta else b""
+    body = [b"".join(_ARRAY.pack(_DTYPES.index(a.dtype) + 1, a.ndim,
+                                 *a.shape, *(0,) * (4 - a.ndim))
+                     for a in arrays),
+            tail, *(memoryview(a).cast("B") for a in arrays)]
+    head = _HEAD.pack(b"RPRB", FORMAT_VERSION, _KINDS.index(kind) + 1,
+                      int(is_ntt), len(arrays), len(tail), scale, 0)
+    crc = zlib.crc32(head[:_CRC_AT])
+    for part in body:
+        crc = zlib.crc32(part, crc)
+    fp.writelines([head[:_CRC_AT], crc.to_bytes(4, "little"), *body])
 
 
-def save_params(params: CkksParameters, fp: PathOrFile) -> None:
-    np.savez(
-        fp,
-        __meta__=_meta(
-            "params",
-            degree=params.poly_modulus_degree,
-            bits=list(params.coeff_modulus_bits),
-            scale=params.scale,
-        ),
-    )
+def _unpack(src, kind, count=None):
+    """Check one ``kind`` blob; return ``(arrays, scale, is_ntt, meta)``."""
+    if not isinstance(src, (bytes, bytearray, memoryview)):
+        src = src.read()
+    buf = memoryview(src).cast("B")
+    size = len(buf)
+    if buf[:4] == b"PK\x03\x04":
+        raise ValueError(f"npz container of format version 1 unsupported "
+                         f"(expected format version {FORMAT_VERSION})")
+    if size < _HEAD.size:
+        raise ValueError(f"truncated {kind}: {size} bytes")
+    magic, version, code, flags, n_arrays, tail_len, scale, crc = (
+        _HEAD.unpack_from(buf))
+    if magic != b"RPRB":
+        raise ValueError(f"not a repro serialization (magic {magic!r})")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"format version {version} unsupported "
+                         f"(expected {FORMAT_VERSION})")
+    found = _KINDS[code - 1] if 1 <= code <= len(_KINDS) else code
+    if found != kind:
+        raise ValueError(f"expected a {kind!r}, found {found!r}")
+    if zlib.crc32(buf[_HEAD.size:], zlib.crc32(buf[:_CRC_AT])) != crc:
+        raise ValueError(f"{kind} checksum mismatch: corrupt serialization")
+    if count is not None and n_arrays != count:
+        raise ValueError(f"a {kind} holds {count} arrays, found {n_arrays}")
+    off = _HEAD.size + n_arrays * _ARRAY.size
+    if off + tail_len > size:
+        raise ValueError(f"truncated {kind}: array table and tail overrun")
+    table = _ARRAY.iter_unpack(buf[_HEAD.size:off])
+    meta = (json.loads(str(buf[off:off + tail_len], "utf-8"))
+            if tail_len else {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"{kind} metadata must be a JSON object")
+    off += tail_len
+    arrays = []
+    for dcode, ndim, *dims in table:
+        if not 1 <= dcode <= len(_DTYPES):
+            raise ValueError(f"unknown dtype code {dcode} in a {kind}")
+        dtype, n = _DTYPES[dcode - 1], math.prod(dims[:ndim])
+        if n * dtype.itemsize > size - off:
+            raise ValueError(f"truncated {kind}: array payload overruns")
+        arrays.append(np.frombuffer(buf, dtype, n, off)
+                      .reshape(dims[:ndim]).copy())
+        off += n * dtype.itemsize
+    if off != size:
+        raise ValueError(f"{size - off} trailing bytes after a {kind}")
+    return arrays, scale, bool(flags & 1), meta
 
 
-def load_params(fp: PathOrFile) -> CkksParameters:
-    with np.load(fp) as npz:
-        meta = _read_meta(npz, "params")
-    return CkksParameters(
-        poly_modulus_degree=meta["degree"],
-        coeff_modulus_bits=meta["bits"],
-        scale=meta["scale"],
-    )
+def save_params(params: CkksParameters, fp: BinaryIO) -> None:
+    _pack(fp, "params", scale=params.scale,
+          meta={"degree": params.poly_modulus_degree,
+                "bits": list(params.coeff_modulus_bits)})
 
 
-# --- plaintext / ciphertext -----------------------------------------------------
+def load_params(fp: BinaryIO) -> CkksParameters:
+    _, scale, _, meta = _unpack(fp, "params", count=0)
+    return CkksParameters(poly_modulus_degree=meta.get("degree"),
+                          coeff_modulus_bits=meta.get("bits"), scale=scale)
 
 
-def save_plaintext(pt: Plaintext, fp: PathOrFile) -> None:
-    np.savez(
-        fp,
-        __meta__=_meta("plaintext", scale=pt.scale, is_ntt=pt.is_ntt),
-        data=pt.data,
-    )
+def save_plaintext(pt: Plaintext, fp: BinaryIO) -> None:
+    _pack(fp, "plaintext", [pt.data], scale=pt.scale, is_ntt=pt.is_ntt)
 
 
-def load_plaintext(fp: PathOrFile) -> Plaintext:
-    with np.load(fp) as npz:
-        meta = _read_meta(npz, "plaintext")
-        data = npz["data"]
-    return Plaintext(data, meta["scale"], meta["is_ntt"])
+def load_plaintext(fp: BinaryIO) -> Plaintext:
+    (data,), scale, is_ntt, _ = _unpack(fp, "plaintext", count=1)
+    return Plaintext(data, scale, is_ntt)
 
 
-def save_ciphertext(ct: Ciphertext, fp: PathOrFile) -> None:
-    np.savez(
-        fp,
-        __meta__=_meta("ciphertext", scale=ct.scale, is_ntt=ct.is_ntt),
-        data=ct.data,
-    )
+def save_ciphertext(ct: Ciphertext, fp: BinaryIO) -> None:
+    _pack(fp, "ciphertext", [ct.data], scale=ct.scale, is_ntt=ct.is_ntt)
 
 
-def load_ciphertext(fp: PathOrFile) -> Ciphertext:
-    with np.load(fp) as npz:
-        meta = _read_meta(npz, "ciphertext")
-        data = npz["data"]
-    return Ciphertext(data, meta["scale"], meta["is_ntt"])
+def load_ciphertext(fp: BinaryIO) -> Ciphertext:
+    (data,), scale, is_ntt, _ = _unpack(fp, "ciphertext", count=1)
+    return Ciphertext(data, scale, is_ntt)
 
 
-# --- keys --------------------------------------------------------------------------
+def save_public_key(pk: PublicKey, fp: BinaryIO) -> None:
+    _pack(fp, "public_key", [pk.data])
 
 
-def save_public_key(pk: PublicKey, fp: PathOrFile) -> None:
-    np.savez(fp, __meta__=_meta("public_key"), data=pk.data)
+def load_public_key(fp: BinaryIO) -> PublicKey:
+    return PublicKey(data=_unpack(fp, "public_key", count=1)[0][0])
 
 
-def load_public_key(fp: PathOrFile) -> PublicKey:
-    with np.load(fp) as npz:
-        _read_meta(npz, "public_key")
-        return PublicKey(data=npz["data"])
-
-
-def save_secret_key_insecure(sk: SecretKey, fp: PathOrFile) -> None:
+def save_secret_key_insecure(sk: SecretKey, fp: BinaryIO) -> None:
     """Serialize the secret key.  The name is deliberate: callers must
     acknowledge that the output grants decryption capability."""
-    np.savez(fp, __meta__=_meta("secret_key"), ntt_rows=sk.ntt_rows,
-             signed_coeffs=sk.signed_coeffs)
+    _pack(fp, "secret_key", [sk.ntt_rows, sk.signed_coeffs])
 
 
-def load_secret_key(fp: PathOrFile) -> SecretKey:
-    with np.load(fp) as npz:
-        _read_meta(npz, "secret_key")
-        return SecretKey(
-            ntt_rows=npz["ntt_rows"], signed_coeffs=npz["signed_coeffs"]
-        )
+def load_secret_key(fp: BinaryIO) -> SecretKey:
+    (rows, coeffs), _, _, _ = _unpack(fp, "secret_key", count=2)
+    return SecretKey(ntt_rows=rows, signed_coeffs=coeffs)
 
 
-def save_relin_key(rlk: RelinKey, fp: PathOrFile) -> None:
-    arrays = {f"k{i}": arr for i, arr in enumerate(rlk.key.data)}
-    np.savez(fp, __meta__=_meta("relin_key", count=len(arrays)), **arrays)
+def save_relin_key(rlk: RelinKey, fp: BinaryIO) -> None:
+    _pack(fp, "relin_key", rlk.key.data)
 
 
-def load_relin_key(fp: PathOrFile) -> RelinKey:
-    with np.load(fp) as npz:
-        meta = _read_meta(npz, "relin_key")
-        data = [npz[f"k{i}"] for i in range(meta["count"])]
-    return RelinKey(key=KSwitchKey(data=data))
+def load_relin_key(fp: BinaryIO) -> RelinKey:
+    return RelinKey(key=KSwitchKey(data=_unpack(fp, "relin_key")[0]))
 
 
-def save_galois_keys(gk: GaloisKeys, fp: PathOrFile) -> None:
-    arrays = {}
+def save_galois_keys(gk: GaloisKeys, fp: BinaryIO) -> None:
     elts = sorted(gk.keys)
-    for elt in elts:
-        for i, arr in enumerate(gk.keys[elt].data):
-            arrays[f"g{elt}_k{i}"] = arr
-    counts = {str(elt): len(gk.keys[elt].data) for elt in elts}
-    np.savez(fp, __meta__=_meta("galois_keys", elts=elts, counts=counts),
-             **arrays)
+    _pack(fp, "galois_keys", [a for e in elts for a in gk.keys[e].data],
+          meta={"elts": elts,
+                "counts": [len(gk.keys[e].data) for e in elts]})
 
 
-def load_galois_keys(fp: PathOrFile) -> GaloisKeys:
-    with np.load(fp) as npz:
-        meta = _read_meta(npz, "galois_keys")
-        out = GaloisKeys()
-        for elt in meta["elts"]:
-            count = meta["counts"][str(elt)]
-            out.keys[elt] = KSwitchKey(
-                data=[npz[f"g{elt}_k{i}"] for i in range(count)]
-            )
-    return out
+def load_galois_keys(fp: BinaryIO) -> GaloisKeys:
+    arrays, _, _, meta = _unpack(fp, "galois_keys")
+    elts, counts = meta.get("elts"), meta.get("counts")
+    if (not isinstance(elts, list) or not isinstance(counts, list)
+            or len(elts) != len(counts) or sum(counts) != len(arrays)):
+        raise ValueError("galois_keys metadata does not match its arrays")
+    ends = list(accumulate(counts))
+    return GaloisKeys(keys={elt: KSwitchKey(data=arrays[end - n:end])
+                            for elt, n, end in zip(elts, counts, ends)})
 
 
 # --- serving sessions -------------------------------------------------------
 
 
 class TicketError(ValueError):
-    """A session ticket failed to load or validate (corrupt/malformed).
-
-    The typed wire-boundary error for resumable tickets: whatever a
-    mutated or stale ticket blob does internally (zip errors, missing
-    fields, bad types), callers see this — never a raw serializer or
-    ``KeyError`` internal.
-    """
+    """A session ticket failed to load or validate (corrupt/malformed):
+    a bad checksum, field or type raises this, never a ``KeyError``."""
 
 
 class StaleTicketError(TicketError):
@@ -219,37 +231,23 @@ class SessionTicket:
             raise ValueError("session ticket needs client_id and session_id")
 
 
-def save_session_ticket(ticket: SessionTicket, fp: PathOrFile) -> None:
-    np.savez(
-        fp,
-        __meta__=_meta(
-            "session_ticket",
-            client_id=ticket.client_id,
-            session_id=ticket.session_id,
-            issued_us=ticket.issued_us,
-        ),
-    )
+def save_session_ticket(ticket: SessionTicket, fp: BinaryIO) -> None:
+    _pack(fp, "session_ticket", meta=asdict(ticket))
 
 
-def load_session_ticket(fp: PathOrFile) -> SessionTicket:
+def load_session_ticket(fp: BinaryIO) -> SessionTicket:
     """Load + validate a ticket; raises :class:`TicketError` when bad.
 
-    Validation is strict — version/kind via ``_read_meta``, then field
-    bounds: non-empty string ids, no ``':'`` in the client id (the
-    server-side keyspace separator), a finite non-negative issue
+    Validation is strict — magic/version/kind/checksum via ``_unpack``,
+    then field bounds: non-empty string ids, no ``':'`` in the client id
+    (the server-side keyspace separator), a finite non-negative issue
     instant.  A ticket is client-presented input, so it fails closed.
     """
-    import math
-
     try:
-        with np.load(fp) as npz:
-            meta = _read_meta(npz, "session_ticket")
+        meta = _unpack(fp, "session_ticket", count=0)[3]
     except ValueError as exc:
         raise TicketError(str(exc)) from None
-    except Exception as exc:  # zip/npz internals on corrupt bytes
-        raise TicketError(f"corrupt session ticket: {exc}") from None
-    client_id = meta.get("client_id")
-    session_id = meta.get("session_id")
+    client_id, session_id = meta.get("client_id"), meta.get("session_id")
     issued_us = meta.get("issued_us", 0.0)
     if not isinstance(client_id, str) or not client_id:
         raise TicketError("session ticket needs a non-empty client_id")
@@ -260,15 +258,15 @@ def load_session_ticket(fp: PathOrFile) -> SessionTicket:
     if (isinstance(issued_us, bool)
             or not isinstance(issued_us, (int, float))
             or not math.isfinite(issued_us) or issued_us < 0):
-        raise TicketError(
-            f"session ticket issued_us must be a finite non-negative "
-            f"number, got {issued_us!r}"
-        )
-    return SessionTicket(
-        client_id=client_id,
-        session_id=session_id,
-        issued_us=float(issued_us),
-    )
+        raise TicketError(f"session ticket issued_us must be a finite "
+                          f"non-negative number, got {issued_us!r}")
+    return SessionTicket(client_id=client_id, session_id=session_id,
+                         issued_us=float(issued_us))
+
+
+class _Chunks(list):
+    """A ``to_bytes`` sink: one copy per array (``BytesIO`` recopies)."""
+    writelines = list.extend
 
 
 def to_bytes(saver, obj) -> bytes:
@@ -277,14 +275,15 @@ def to_bytes(saver, obj) -> bytes:
     The wire-format primitive of :mod:`repro.server`: requests and
     responses frame these byte blobs with a JSON header.
     """
-    buf = io.BytesIO()
-    saver(obj, buf)
-    return buf.getvalue()
+    chunks = _Chunks()
+    saver(obj, chunks)
+    return b"".join(chunks)
 
 
-def from_bytes(loader, data: bytes):
-    """Deserialize bytes produced by :func:`to_bytes` with a ``load_*``."""
-    return loader(io.BytesIO(data))
+def from_bytes(loader, data):
+    """Deserialize bytes-like ``data`` from :func:`to_bytes` with a
+    ``load_*``, in place: only the decoded arrays are copied out."""
+    return loader(memoryview(data))
 
 
 def roundtrip_bytes(obj, saver, loader):

@@ -1,7 +1,8 @@
 """Wire format for batched HE serving requests and responses.
 
-A request frames one HE operation over serialized ciphertexts (the
-``core.serialize`` ``.npz`` blobs) with a JSON header:
+A request frames one HE operation over serialized ciphertexts (flat
+``core.serialize`` blobs: a fixed header, the raw limbs and a CRC32)
+with a JSON header:
 
 .. code-block:: text
 
@@ -236,7 +237,8 @@ class SessionHello:
     is *resuming* after a dropped connection: the transport validates it
     against the live session table and, on success, flushes any
     responses parked while the client was away.  Hellos without a ticket
-    decode exactly as before — the field is wire-compatible.
+    decode exactly as before — the field is wire-compatible.  A decoded
+    hello holds its blobs as ``memoryview`` slices of the frame.
     """
 
     client_id: str
@@ -300,7 +302,9 @@ def _unframe(magic: bytes, data: bytes) -> tuple:
         raise FrameError(
             f"serving frame must be bytes, got {type(data).__name__}"
         )
-    data = bytes(data)
+    # One view over the frame; the header and blobs below are slices of
+    # it, not copies.
+    data = memoryview(data).cast("B")
     if len(data) > MAX_FRAME_BYTES:
         raise FrameError(
             f"oversized serving frame: {len(data)} bytes "
@@ -312,7 +316,8 @@ def _unframe(magic: bytes, data: bytes) -> tuple:
         )
     if data[:4] != magic:
         raise FrameError(
-            f"bad magic {data[:4]!r} (expected {magic!r}): not a serving frame"
+            f"bad magic {bytes(data[:4])!r} (expected {magic!r}): "
+            f"not a serving frame"
         )
     (head_len,) = struct.unpack_from("<I", data, 4)
     if head_len > MAX_HEADER_BYTES or 8 + head_len > len(data):
@@ -322,7 +327,7 @@ def _unframe(magic: bytes, data: bytes) -> tuple:
         )
     off = 8
     try:
-        header = json.loads(data[off:off + head_len].decode())
+        header = json.loads(str(data[off:off + head_len], "utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise FrameError(f"undecodable frame header: {exc}") from None
     if not isinstance(header, dict):
@@ -388,9 +393,9 @@ def decode_request(data: bytes) -> ServeRequest:
         )
     cts = []
     for blob in blobs:
-        # The blob serializer has its own integrity checks (npz CRCs,
-        # format/kind metadata); whatever it raises on a mutated blob is
-        # still a decode failure of *this frame*.
+        # The blob serializer has its own integrity checks (CRC32,
+        # format/kind/length checks); whatever it raises on a mutated
+        # blob is still a decode failure of *this frame*.
         try:
             cts.append(from_bytes(load_ciphertext, blob))
         except Exception as exc:
@@ -488,6 +493,8 @@ def decode_session_hello(data: bytes) -> SessionHello:
         raise FrameError(
             f"hello promises {len(keys)} key blobs, frame carries {len(blobs)}"
         )
+    # The key blobs stay views into the frame: the handshake decodes them
+    # straight away and keeps only the decoded keys.
     by_kind = dict(zip(keys, blobs))
     return SessionHello(
         client_id=_header_str(header, "client"),
@@ -519,5 +526,7 @@ def decode_session_ack(data: bytes) -> SessionAck:
         ok=ok,
         session_id=header.get("session_id", ""),
         error=header.get("error", ""),
-        ticket_wire=blobs[0] if blobs else None,
+        # Clients keep the ticket for a later resume: own its bytes
+        # rather than pin the whole ack frame.
+        ticket_wire=bytes(blobs[0]) if blobs else None,
     )

@@ -10,7 +10,11 @@ from repro.core.serialize import (
     StaleTicketError,
     TicketError,
     from_bytes,
+    load_galois_keys,
+    load_relin_key,
     load_session_ticket,
+    save_galois_keys,
+    save_relin_key,
     save_session_ticket,
     to_bytes,
 )
@@ -19,9 +23,58 @@ from repro.server.client import RetryPolicy, submit_with_retry
 from repro.server.request import (
     FrameError,
     ServeRequest,
+    ServeResponse,
+    SessionHello,
     decode_request,
+    decode_response,
+    decode_session_hello,
     encode_request,
+    encode_response,
+    encode_session_hello,
 )
+
+
+def _fuzz_decode(wire, decode, seed, trials=300):
+    """Random byte flips/truncations of ``wire``: ``decode`` either
+    succeeds or raises FrameError (a ValueError) — never struct.error,
+    IndexError, KeyError or UnicodeDecodeError."""
+    rng = np.random.default_rng(seed)
+    data = bytearray(wire)
+    for trial in range(trials):
+        mutated = bytearray(data)
+        if trial % 3 == 0:  # truncate
+            mutated = mutated[: int(rng.integers(0, len(mutated)))]
+        else:  # flip 1-8 random bytes
+            for _ in range(int(rng.integers(1, 9))):
+                i = int(rng.integers(0, len(mutated)))
+                mutated[i] ^= int(rng.integers(1, 256))
+        try:
+            decode(bytes(mutated))
+        except FrameError:
+            pass
+        except Exception as exc:  # pragma: no cover - the failure case
+            pytest.fail(
+                f"trial {trial}: decode leaked "
+                f"{type(exc).__name__}: {exc}")
+
+
+def _decode_hello_and_keys(data):
+    """What a server does with a hello: parse the frame, then every blob.
+
+    The frame parser hands key and ticket blobs through undecoded; their
+    own loaders refuse a mutated blob with ValueError, which the
+    handshake turns into a failed ack.  Surface that as FrameError."""
+    hello = decode_session_hello(data)
+    try:
+        if hello.relin_wire is not None:
+            from_bytes(load_relin_key, hello.relin_wire)
+        if hello.galois_wire is not None:
+            from_bytes(load_galois_keys, hello.galois_wire)
+        if hello.ticket_wire is not None:
+            from_bytes(load_session_ticket, hello.ticket_wire)
+    except ValueError as exc:
+        raise FrameError(str(exc)) from exc
+    return hello
 
 
 class TestFaultPlan:
@@ -166,28 +219,58 @@ class TestFrameHardening:
         with pytest.raises(FrameError):
             decode_request(mutant)
 
+    @pytest.fixture(scope="class")
+    def response_wire(self, request_wire):
+        ct = decode_request(request_wire).cts[0]
+        return encode_response(ServeResponse(
+            "r0", True, result=ct, arrival_us=1.0, complete_us=9.0,
+            device="device1", batch_size=2))
+
+    @pytest.fixture(scope="class")
+    def hello_wire(self, ckks):
+        return encode_session_hello(SessionHello(
+            client_id="alice",
+            relin_wire=to_bytes(save_relin_key, ckks["relin"]),
+            galois_wire=to_bytes(save_galois_keys, ckks["galois"]),
+            ticket_wire=to_bytes(save_session_ticket, SessionTicket(
+                client_id="alice", session_id="sess-1-alice"))))
+
     def test_fuzz_random_mutations_never_leak_raw_errors(self, request_wire):
-        """Hundreds of random byte flips/truncations: decode either
-        succeeds or raises FrameError (a ValueError) — never struct.error,
-        IndexError, KeyError or UnicodeDecodeError."""
-        rng = np.random.default_rng(2022)
-        data = bytearray(request_wire)
-        for trial in range(300):
-            mutated = bytearray(data)
-            if trial % 3 == 0:  # truncate
-                mutated = mutated[: int(rng.integers(0, len(mutated)))]
-            else:  # flip 1-8 random bytes
-                for _ in range(int(rng.integers(1, 9))):
-                    i = int(rng.integers(0, len(mutated)))
-                    mutated[i] ^= int(rng.integers(1, 256))
-            try:
+        """Hundreds of random byte flips/truncations of a request frame
+        never leak anything but FrameError (see ``_fuzz_decode``)."""
+        _fuzz_decode(request_wire, decode_request, seed=2022)
+
+    def test_fuzz_response_frames_never_leak_raw_errors(self,
+                                                        response_wire):
+        assert decode_response(response_wire).result is not None
+        _fuzz_decode(response_wire, decode_response, seed=2023)
+
+    def test_fuzz_hello_frames_never_leak_raw_errors(self, hello_wire):
+        hello = _decode_hello_and_keys(hello_wire)
+        assert hello.galois_wire is not None and hello.ticket_wire
+        _fuzz_decode(hello_wire, _decode_hello_and_keys, seed=2024)
+
+    def test_flipped_limb_byte_is_frame_error(self, request_wire):
+        """A single data-byte flip inside the ciphertext blob is refused
+        by its CRC32, not decoded into a different ciphertext."""
+        limbs = decode_request(request_wire).cts[0].data.nbytes
+        # The frame ends with the ciphertext's limbs.
+        for pos in (len(request_wire) - limbs, len(request_wire) - 1,
+                    len(request_wire) - limbs // 2):
+            mutated = bytearray(request_wire)
+            mutated[pos] ^= 0x01
+            with pytest.raises(FrameError, match="checksum"):
                 decode_request(bytes(mutated))
-            except FrameError:
-                pass
-            except Exception as exc:  # pragma: no cover - the failure case
-                pytest.fail(
-                    f"trial {trial}: decode leaked "
-                    f"{type(exc).__name__}: {exc}")
+
+    def test_decoded_limbs_are_writable_copies(self, request_wire):
+        """The evaluator's kernels work in place: decoded limbs must be
+        writable arrays that own their memory, not read-only views of
+        the frame."""
+        data = decode_request(request_wire).cts[0].data
+        assert data.flags.writeable and data.flags.owndata
+        data[0, 0, 0] ^= 1  # must not raise
+        assert decode_request(request_wire).cts[0].data[0, 0, 0] != (
+            data[0, 0, 0])
 
     def test_injected_corruption_fires_through_the_faultpoint(
             self, request_wire):

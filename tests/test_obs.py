@@ -67,6 +67,25 @@ def test_server_metrics_uses_shared_percentile():
     assert server_metrics._percentile is percentile
 
 
+def test_socket_soak_bench_uses_shared_percentile(monkeypatch):
+    """The soak bench's p50 follows the half-up rank, not ``round()``.
+
+    On an even-length sample the p50 rank lands on an exact .5, where
+    banker's rounding picks the even (lower) neighbor.
+    """
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import bench_socket_soak
+
+    sample = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
+    bankers = sample[int(round(0.5 * (len(sample) - 1)))]
+    assert bankers == 30.0
+    assert bench_socket_soak.percentile is percentile
+    assert bench_socket_soak.latency_summary(sample)["p50"] == 40.0
+
+
 # ----------------------------------------------------------------------
 # registry: counters, gauges, histograms, exporters
 # ----------------------------------------------------------------------

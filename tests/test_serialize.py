@@ -1,12 +1,16 @@
 """Tests for serialization of parameters, keys and ciphertexts."""
 
 import io
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from repro.core import Ciphertext, CkksParameters, Decryptor
 from repro.core.serialize import (
+    FORMAT_VERSION,
+    from_bytes,
     load_ciphertext,
     load_galois_keys,
     load_params,
@@ -22,6 +26,13 @@ from repro.core.serialize import (
     save_public_key,
     save_relin_key,
     save_secret_key_insecure,
+    to_bytes,
+)
+from repro.server.request import (
+    FrameError,
+    ServeRequest,
+    decode_request,
+    encode_request,
 )
 
 
@@ -102,3 +113,69 @@ class TestKeys:
         rot = ckks["evaluator"].rotate(ct, 1, gk2)
         got = enc.decode(ckks["decryptor"].decrypt(rot)).real
         assert np.abs(got - np.roll(z, -1)).max() < 1e-3
+
+
+def _npz_v1_ciphertext(ct):
+    """The npz container format version 1 wrote for a ciphertext."""
+    buf = io.BytesIO()
+    meta = {"version": 1, "kind": "ciphertext", "scale": ct.scale,
+            "is_ntt": ct.is_ntt}
+    np.savez(buf, __meta__=np.frombuffer(json.dumps(meta).encode(),
+                                         dtype=np.uint8), data=ct.data)
+    return buf.getvalue()
+
+
+class TestFlatFormat:
+    @pytest.fixture()
+    def ct(self, ckks, rng):
+        enc = ckks["encoder"]
+        z = rng.normal(size=enc.slots)
+        return ckks["encryptor"].encrypt(enc.encode(z))
+
+    def test_npz_v1_blob_fails_closed(self, ct):
+        """Version-1 npz bytes are refused by name, by the loader and at
+        the frame boundary — there is no npz reader left."""
+        wire = _npz_v1_ciphertext(ct)
+        with pytest.raises(ValueError, match="format version 1"):
+            from_bytes(load_ciphertext, wire)
+        frame = encode_request(ServeRequest("r0", "square", [ct]))
+        blob = to_bytes(save_ciphertext, ct)
+        assert frame.endswith(blob)
+        head = frame[: len(frame) - len(blob) - 8]
+        v1_frame = head + struct.pack("<Q", len(wire)) + wire
+        with pytest.raises(FrameError, match="format version 1"):
+            decode_request(v1_frame)
+
+    def test_layout_is_header_then_raw_limbs(self, ct):
+        wire = to_bytes(save_ciphertext, ct)
+        assert wire[:4] == b"RPRB"
+        assert struct.unpack_from("<H", wire, 4)[0] == FORMAT_VERSION == 2
+        assert wire.endswith(ct.data.astype("<u8").tobytes())
+        assert len(wire) == 28 + 18 + ct.data.nbytes
+
+    @pytest.mark.parametrize("pos", [7, 12, 16, 20, 30])
+    def test_flipped_header_byte_refused(self, ct, pos):
+        """The is_ntt flag (byte 7), tail length (12), scale (16..23) and
+        shape (30..) are all under the CRC: a flip never decodes."""
+        wire = bytearray(to_bytes(save_ciphertext, ct))
+        wire[pos] ^= 0x01
+        with pytest.raises(ValueError):
+            from_bytes(load_ciphertext, bytes(wire))
+
+    def test_trailing_and_missing_bytes_refused(self, ct):
+        wire = to_bytes(save_ciphertext, ct)
+        with pytest.raises(ValueError):
+            from_bytes(load_ciphertext, wire + b"\0")
+        with pytest.raises(ValueError):
+            from_bytes(load_ciphertext, wire[:-1])
+        with pytest.raises(ValueError, match="truncated"):
+            from_bytes(load_ciphertext, wire[:10])
+
+    def test_decoded_arrays_do_not_alias_the_input(self, ct):
+        wire = bytearray(to_bytes(save_ciphertext, ct))
+        back = from_bytes(load_ciphertext, memoryview(wire))
+        assert np.array_equal(back.data, ct.data)
+        # The decoded limbs are a copy: scribbling on the buffer after
+        # decoding leaves them intact.
+        wire[-8:] = b"\xff" * 8
+        assert np.array_equal(back.data, ct.data)

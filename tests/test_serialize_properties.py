@@ -165,6 +165,101 @@ class TestKeyProperties:
                 assert np.array_equal(a, b)
 
 
+# -- memory layouts ----------------------------------------------------------
+#
+# The savers write C-order bytes whatever the input's layout: transposed
+# (Fortran-ordered) storage, strided views and negative strides all
+# round-trip to equal, C-contiguous, writable arrays.
+
+LAYOUTS = st.sampled_from(["c", "transposed", "strided", "reversed"])
+
+
+def relayout(arr, how):
+    """An array equal to ``arr`` whose memory is laid out as ``how``."""
+    if how == "transposed":
+        out = np.ascontiguousarray(arr.T).T
+    elif how == "strided":
+        out = np.repeat(arr, 2, axis=-1)[..., ::2]
+        assert not out.flags.c_contiguous
+    elif how == "reversed":
+        out = arr[..., ::-1].copy()[..., ::-1]
+        assert out.strides[-1] < 0
+    else:
+        out = arr
+    assert np.array_equal(out, arr)
+    return out
+
+
+def assert_same_array(back, want):
+    assert np.array_equal(back, want)
+    assert back.dtype == want.dtype
+    assert back.flags.c_contiguous and back.flags.writeable
+
+
+class TestLayoutProperties:
+    @settings(max_examples=30, **COMMON)
+    @given(data=ct_arrays, scale=SCALES, is_ntt=st.booleans(), how=LAYOUTS)
+    def test_ciphertext_any_layout(self, data, scale, is_ntt, how):
+        ct = Ciphertext(relayout(data, how), scale, is_ntt)
+        back = roundtrip_bytes(ct, save_ciphertext, load_ciphertext)
+        assert_same_array(back.data, data)
+        assert (back.scale, back.is_ntt) == (scale, is_ntt)
+
+    @settings(max_examples=30, **COMMON)
+    @given(data=pt_arrays, scale=SCALES, is_ntt=st.booleans(), how=LAYOUTS)
+    def test_plaintext_any_layout(self, data, scale, is_ntt, how):
+        pt = Plaintext(relayout(data, how), scale, is_ntt)
+        back = roundtrip_bytes(pt, save_plaintext, load_plaintext)
+        assert_same_array(back.data, data)
+        assert (back.scale, back.is_ntt) == (scale, is_ntt)
+
+    @settings(max_examples=20, **COMMON)
+    @given(data=pk_arrays, how=LAYOUTS)
+    def test_public_key_any_layout(self, data, how):
+        back = roundtrip_bytes(PublicKey(data=relayout(data, how)),
+                               save_public_key, load_public_key)
+        assert_same_array(back.data, data)
+
+    @settings(max_examples=20, **COMMON)
+    @given(rows=u64_array(st.tuples(LEVELS, DEGREES)),
+           signs=DEGREES.flatmap(lambda n: arrays(
+               np.int64, (n,), elements=st.sampled_from([-1, 0, 1]))),
+           how=LAYOUTS)
+    def test_secret_key_any_layout(self, rows, signs, how):
+        sk = SecretKey(ntt_rows=relayout(rows, how),
+                       signed_coeffs=relayout(signs, how))
+        back = roundtrip_bytes(sk, save_secret_key_insecure, load_secret_key)
+        assert_same_array(back.ntt_rows, rows)
+        assert_same_array(back.signed_coeffs, signs)
+
+    @settings(max_examples=20, **COMMON)
+    @given(data=ksk_arrays, layouts=st.data())
+    def test_relin_key_any_layout(self, data, layouts):
+        views = [relayout(a, layouts.draw(LAYOUTS)) for a in data]
+        back = roundtrip_bytes(RelinKey(key=KSwitchKey(data=views)),
+                               save_relin_key, load_relin_key)
+        assert back.key.decomp_count == len(data)
+        for got, want in zip(back.key.data, data):
+            assert_same_array(got, want)
+
+    @settings(max_examples=15, **COMMON)
+    @given(elts=st.lists(st.integers(1, 2**13).map(lambda x: 2 * x + 1),
+                         min_size=1, max_size=3, unique=True),
+           data=st.data())
+    def test_galois_keys_any_layout(self, elts, data):
+        want = {elt: data.draw(ksk_arrays) for elt in elts}
+        gk = GaloisKeys()
+        for elt, arrs in want.items():
+            gk.keys[elt] = KSwitchKey(
+                data=[relayout(a, data.draw(LAYOUTS)) for a in arrs])
+        back = roundtrip_bytes(gk, save_galois_keys, load_galois_keys)
+        assert set(back.keys) == set(want)
+        for elt, arrs in want.items():
+            assert back.keys[elt].decomp_count == len(arrs)
+            for got, a in zip(back.keys[elt].data, arrs):
+                assert_same_array(got, a)
+
+
 # -- FORMAT_VERSION contract -------------------------------------------------
 
 PAIRS = [
@@ -229,6 +324,19 @@ class TestFormatVersion:
         buf.seek(0)
         with pytest.raises(ValueError, match="version"):
             load_params(buf)
+
+    @settings(max_examples=30, **COMMON)
+    @given(version=st.integers(min_value=0, max_value=2**16 - 1)
+           .filter(lambda v: v != FORMAT_VERSION))
+    def test_any_foreign_flat_header_version_rejected(self, version):
+        """A flat blob whose header names any other version fails closed,
+        and the error names that version."""
+        params = CkksParameters(poly_modulus_degree=8,
+                                coeff_modulus_bits=[30, 30], scale=2.0**10)
+        wire = bytearray(to_bytes(save_params, params))
+        wire[4:6] = version.to_bytes(2, "little")
+        with pytest.raises(ValueError, match=f"version {version} "):
+            from_bytes(load_params, bytes(wire))
 
     def test_wrong_kind_still_rejected(self, sample_objects):
         wire = to_bytes(save_public_key, sample_objects["public"])
