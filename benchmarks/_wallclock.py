@@ -47,7 +47,12 @@ def host_meta():
 
 
 def backend_legs():
-    """Ordered backend names to bench: always packed+serial, native if usable."""
+    """Ordered leg names to bench: always packed+serial, native if usable.
+
+    ``serial`` is not a backend: it times the per-limb oracle in
+    :mod:`repro.core.reference` under its historical leg name, so the
+    ``BENCH_wallclock.json`` series stay continuous.
+    """
     from repro import native
 
     legs = ["packed", "serial"]
@@ -59,8 +64,9 @@ def backend_legs():
 def backend_leg(backend, stacked_fn, serial_fn):
     """One timed leg returning its measured seconds-per-call.
 
-    The serial leg runs a per-limb object (``packed=False``); the
-    packed/native legs run the same stacked object pinned via
+    The serial leg runs a per-limb oracle object
+    (:mod:`repro.core.reference`); the packed/native legs run the same
+    stacked object pinned via
     ``use_backend``.  The backend switch happens *outside* the clocked
     window so its few-microsecond cost never biases fast ops' ratios.
     """

@@ -97,7 +97,7 @@ def test_rescale(benchmark, ckks_bench):
 def test_wallclock_json(quick, wallclock_record):
     """Record native/packed/serial ops/sec at N = 4096, level 8.
 
-    "serial" is the per-limb reference path (``Evaluator(packed=False)``),
+    "serial" is the per-limb oracle (``core.reference.ReferenceEvaluator``),
     "packed" the stacked NumPy path, "native" the compiled kernel backend
     (leg present only when a C toolchain is usable).  All legs compute
     bit-identical results (tests/test_packed_ab.py), so this is a pure
@@ -106,10 +106,11 @@ def test_wallclock_json(quick, wallclock_record):
     from _wallclock import backend_leg, backend_legs
     from repro.core import Evaluator
     from repro.core.ciphertext import Ciphertext
+    from repro.core.reference import ReferenceEvaluator
 
     params, context = paper_shape_context()
-    stacked = Evaluator(context, packed=True)
-    serial = Evaluator(context, packed=False)
+    stacked = Evaluator(context)
+    serial = ReferenceEvaluator(context)
     rng = np.random.default_rng(99)
     scale = float(params.scale)
     level = context.max_level
@@ -165,7 +166,7 @@ def test_wallclock_tracing_overhead_json(quick, wallclock_record):
     from repro.obs import tracing
 
     params, context = paper_shape_context()
-    ev = Evaluator(context, packed=True)
+    ev = Evaluator(context)
     rng = np.random.default_rng(99)
     scale = float(params.scale)
     level = context.max_level
@@ -232,7 +233,7 @@ def test_wallclock_scaling_json(quick, wallclock_record):
         pytest.skip("native backend unavailable (no C toolchain)")
 
     params, context = paper_shape_context()
-    ev = Evaluator(context, packed=True)
+    ev = Evaluator(context)
     rng = np.random.default_rng(99)
     scale = float(params.scale)
     level = context.max_level

@@ -65,20 +65,22 @@ def test_wallclock_json(quick, wallclock_record):
     """Record native/packed/serial NTT ops/sec at N = 4096, level 8.
 
     One "op" is a full 8-limb RNS stack transform (the unit the CKKS
-    layer issues); "serial" is the per-row loop, "packed" the stacked
+    layer issues); "serial" is the per-row oracle
+    (``core.reference.ReferenceNTTEngine``), "packed" the stacked
     NumPy engine, "native" the compiled fused-butterfly kernels (leg
     present only when a C toolchain is usable).  All legs are
     bit-identical (tests/test_packed_ab.py).
     """
     from _wallclock import backend_leg, backend_legs
+    from repro.core.reference import ReferenceNTTEngine
     from repro.modmath import gen_ntt_primes
     from repro.ntt import NTTEngine
     from repro.rns import RNSBase
 
     n, k = 4096, 8
     base = RNSBase.from_values(gen_ntt_primes([30] + [23] * (k - 1), n))
-    stacked = NTTEngine(n, base, packed=True)
-    serial = NTTEngine(n, base, packed=False)
+    stacked = NTTEngine(n, base)
+    serial = ReferenceNTTEngine(n, base)
     rng = np.random.default_rng(13)
     x = np.stack(
         [rng.integers(0, m.value, n, dtype=np.uint64) for m in base]
@@ -135,7 +137,7 @@ def test_wallclock_scaling_json(quick, wallclock_record):
 
     n, k = 4096, 8
     base = RNSBase.from_values(gen_ntt_primes([30] + [23] * (k - 1), n))
-    engine = NTTEngine(n, base, packed=True)
+    engine = NTTEngine(n, base)
     rng = np.random.default_rng(13)
     x = np.stack(
         [rng.integers(0, m.value, n, dtype=np.uint64) for m in base]

@@ -34,7 +34,7 @@ Commands
 ``native``
     Build/inspect the compiled kernel backend (``repro.native``): print
     the resolved backend, compiler, and cache state; ``--build`` forces
-    a (re)compile; ``--self-test`` verifies native/packed/serial
+    a (re)compile; ``--self-test`` verifies native/packed/reference
     bit-identicality at the paper shape (N=4096, level 8) plus a native
     speedup on the stacked NTT, and exits non-zero on failure or when
     no toolchain is available.
@@ -470,8 +470,10 @@ def cmd_native(args: argparse.Namespace) -> int:
         return 0
 
     # Three-way bit-identity at the acceptance shape, plus a timing probe.
+    # The per-limb oracle is loaded here only, never on a serving path.
     from .core import CkksContext, CkksParameters, Evaluator
     from .core.ciphertext import Ciphertext
+    from .core.reference import ReferenceEvaluator
     from .ntt import NTTEngine
     from .rns import RNSBase
     from .modmath import gen_ntt_primes
@@ -491,18 +493,23 @@ def cmd_native(args: argparse.Namespace) -> int:
 
     a, b = rand_ct(2), rand_ct(2)
     rs_in = Ciphertext(rand_ct(2).data, scale * scale)
+
+    def run(ev):
+        return ev.multiply(a, b).data, ev.rescale(rs_in).data
+
     ev = Evaluator(context)
     outs = {}
-    for mode in ("native", "packed", "serial"):
+    for mode in ("native", "packed"):
         with native.use_backend(mode):
-            outs[mode] = (ev.multiply(a, b).data, ev.rescale(rs_in).data)
+            outs[mode] = run(ev)
+    outs["reference"] = run(ReferenceEvaluator(context))
     identical = all(
         np.array_equal(x, y)
-        for mode in ("packed", "serial")
+        for mode in ("packed", "reference")
         for x, y in zip(outs["native"], outs[mode])
     )
     print(f"bit-identity         : "
-          f"{'native == packed == serial' if identical else 'MISMATCH'}")
+          f"{'native == packed == reference' if identical else 'MISMATCH'}")
 
     base = RNSBase.from_values(gen_ntt_primes([30] + [23] * 7, 4096))
     engine = NTTEngine(4096, base)

@@ -5,16 +5,15 @@ helpers used by rescaling (drop ``q_{l-1}``) and key-switch mod-down
 (drop the special prime ``P``).  Mirrors SEAL's ``SEALContext`` chain of
 per-level data.
 
-All hot methods run the packed-RNS path by default: whole ``(..., k, N)``
-stacks move through stacked NTTs and column-broadcast modular kernels
-(see :mod:`repro.modmath.stacked`) instead of one small NumPy call per
-prime.  Passing ``packed=False`` selects the per-limb reference loops,
-kept as the bit-identical oracle for the A/B property suite.
+All hot methods run the packed-RNS path: whole ``(..., k, N)`` stacks
+move through stacked NTTs and column-broadcast modular kernels (see
+:mod:`repro.modmath.stacked`) instead of one small NumPy call per
+prime.  The per-limb divide-round loop survives only as the oracle in
+:mod:`repro.core.reference`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
@@ -22,14 +21,8 @@ import numpy as np
 
 from ..modmath import Modulus, StackedModulus, inv_mod, packedops
 from ..modmath.barrett import barrett_reduce_64
-from ..modmath.ops import mul_mod, sub_mod
-from ..native import backend as _backend
-from ..ntt.radix2 import (
-    ntt_forward,
-    ntt_forward_stacked,
-    ntt_inverse,
-    ntt_inverse_stacked,
-)
+from ..modmath.ops import sub_mod
+from ..ntt.radix2 import ntt_forward_stacked, ntt_inverse_stacked
 from ..ntt.tables import NTTTables, StackedNTTTables, get_stacked_tables, get_tables
 from ..rns import RNSBase
 from .params import CkksParameters
@@ -59,9 +52,7 @@ class CkksContext:
             if not m.supports_ntt(self.degree):
                 raise ValueError(f"modulus {m.value} is not NTT-friendly")
         # Precomputed scalars for divide-and-round operations.
-        self._inv_dropped: Dict[Tuple[int, int], np.uint64] = {}
-        self._dropped_mod: Dict[Tuple[int, int], np.uint64] = {}
-        self._scalar_cols: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+        self._scalar_cols: Dict[Tuple[int, int], Tuple[np.ndarray, ...]] = {}
         # Per-instance memos (plain dicts, not lru_cache, so discarded
         # contexts release their stacked tables with them).
         self._stacked_rows_cache: Dict[Tuple[int, ...], StackedModulus] = {}
@@ -124,56 +115,21 @@ class CkksContext:
 
     # -- domain transforms -------------------------------------------------------
 
-    def to_ntt(self, matrix: np.ndarray, *, rows: int | None = None,
-               special_last: bool = False,
-               packed: bool | None = None) -> np.ndarray:
+    def to_ntt(self, matrix: np.ndarray) -> np.ndarray:
         """Forward-NTT each row of an RNS matrix (rows = level count)."""
-        return self._transform(
-            matrix, forward=True, special_last=special_last, packed=packed
-        )
-
-    def from_ntt(self, matrix: np.ndarray, *, special_last: bool = False,
-                 packed: bool | None = None) -> np.ndarray:
-        """Inverse-NTT each row back to coefficient form."""
-        return self._transform(
-            matrix, forward=False, special_last=special_last, packed=packed
-        )
-
-    def _transform(self, matrix: np.ndarray, *, forward: bool,
-                   special_last: bool, packed: bool | None = None) -> np.ndarray:
-        if packed is None:
-            packed = _backend.packed_default()
         matrix = np.asarray(matrix, dtype=np.uint64)
-        k = matrix.shape[-2]
-        if packed:
-            if special_last:
-                rows = tuple(range(k - 1)) + (len(self.key_base) - 1,)
-                st = self.stacked_tables_rows(rows)
-            else:
-                st = self.stacked_tables.prefix(k)
-            fn = ntt_forward_stacked if forward else ntt_inverse_stacked
-            return fn(matrix, st)
-        out = np.empty_like(matrix)
-        for i in range(k):
-            if special_last and i == k - 1:
-                tables = self.tables[-1]
-            else:
-                tables = self.tables[i]
-            fn = ntt_forward if forward else ntt_inverse
-            out[..., i, :] = fn(matrix[..., i, :], tables)
-        return out
+        return ntt_forward_stacked(
+            matrix, self.stacked_tables.prefix(matrix.shape[-2])
+        )
+
+    def from_ntt(self, matrix: np.ndarray) -> np.ndarray:
+        """Inverse-NTT each row back to coefficient form."""
+        matrix = np.asarray(matrix, dtype=np.uint64)
+        return ntt_inverse_stacked(
+            matrix, self.stacked_tables.prefix(matrix.shape[-2])
+        )
 
     # -- divide-and-round in NTT domain --------------------------------------------
-
-    def _scalars(self, dropped_idx: int, target_idx: int) -> Tuple[np.uint64, np.uint64]:
-        """(dropped^{-1} mod q_t, dropped mod q_t), cached."""
-        key = (dropped_idx, target_idx)
-        if key not in self._inv_dropped:
-            d = self.key_base[dropped_idx].value
-            t = self.key_base[target_idx]
-            self._inv_dropped[key] = np.uint64(inv_mod(d % t.value, t))
-            self._dropped_mod[key] = np.uint64(d % t.value)
-        return self._inv_dropped[key], self._dropped_mod[key]
 
     def _scalar_columns(self, dropped_idx: int, kept: int):
         """Divide-round constants as ``(kept, 1)`` columns, cached.
@@ -185,26 +141,21 @@ class CkksContext:
         key = (dropped_idx, kept)
         cached = self._scalar_cols.get(key)
         if cached is None:
-            pairs = [self._scalars(dropped_idx, j) for j in range(kept)]
-            inv_d = np.array([p[0] for p in pairs], dtype=np.uint64)[:, None]
-            d_mod = np.array([p[1] for p in pairs], dtype=np.uint64)[:, None]
-            quots = [
-                (int(p[0]) << 64) // self.key_base[j].value
-                for j, p in enumerate(pairs)
-            ]
-            q_hi = np.array([q >> 32 for q in quots], dtype=np.uint64)[:, None]
-            q_lo = np.array(
-                [q & 0xFFFFFFFF for q in quots], dtype=np.uint64
-            )[:, None]
-            for arr in (inv_d, q_hi, q_lo, d_mod):
+            d = self.key_base[dropped_idx].value
+            primes = [self.key_base[j] for j in range(kept)]
+            d_mod = [d % q.value for q in primes]
+            inv_d = [inv_mod(r, q) for r, q in zip(d_mod, primes)]
+            quots = [(v << 64) // q.value for v, q in zip(inv_d, primes)]
+            cols = (inv_d, [q >> 32 for q in quots],
+                    [q & 0xFFFFFFFF for q in quots], d_mod)
+            cached = tuple(np.array(c, dtype=np.uint64)[:, None] for c in cols)
+            for arr in cached:
                 arr.setflags(write=False)
-            cached = self._scalar_cols[key] = (inv_d, q_hi, q_lo, d_mod)
+            self._scalar_cols[key] = cached
         return cached
 
-    def divide_round_drop_ntt(
-        self, matrix: np.ndarray, dropped_idx: int, *,
-        packed: bool | None = None
-    ) -> np.ndarray:
+    def divide_round_drop_ntt(self, matrix: np.ndarray,
+                              dropped_idx: int) -> np.ndarray:
         """Drop the last row and divide-and-round by its modulus, in NTT form.
 
         ``matrix`` is ``(..., k, N)`` in NTT form; row ``k-1`` corresponds
@@ -214,67 +165,48 @@ class CkksContext:
         Implements SEAL's sequence: iNTT the dropped row, center it, then
         per kept prime subtract its (re-NTT-ed) reduction and multiply by
         the dropped modulus' inverse — all element-wise in NTT form.  The
-        packed path performs the per-prime half as four stacked calls over
-        the whole kept stack (bit-identical to the reference loop); under
-        the native backend those stacked calls — both NTTs, the Barrett
+        per-prime half runs as four stacked calls over the whole kept
+        stack (bit-identical to the per-limb loop in
+        :func:`repro.core.reference.divide_round_drop_ntt`); under the
+        native backend those stacked calls — both NTTs, the Barrett
         reduction, and the fused lazy-difference Harvey tail — run in the
-        compiled kernel library.  ``packed=None`` follows the process
-        backend (per-limb under ``serial``).
+        compiled kernel library.
         """
-        if packed is None:
-            packed = _backend.packed_default()
         matrix = np.asarray(matrix, dtype=np.uint64)
         k = matrix.shape[-2]
         if k < 2:
             raise ValueError("need at least two rows to drop one")
         dropped = self.key_base[dropped_idx]
         half = np.uint64(dropped.value >> 1)
-
-        if packed:
-            # The dropped row transforms as a one-limb stack so the
-            # batched (component) axis rides the fast buffered kernel.
-            last_coeff = ntt_inverse_stacked(
-                matrix[..., k - 1 : k, :],
-                self.stacked_tables_rows((dropped_idx,)),
-            )[..., 0, :]
-            is_high = last_coeff > half
-            st = self.stacked_modulus(k - 1)
-            inv_d, q_hi, q_lo, d_mod = self._scalar_columns(dropped_idx, k - 1)
-            r = barrett_reduce_64(last_coeff[..., None, :], st)
-            # Centered representative: r - d when the residue is
-            # "negative" (subtracting 0 elsewhere is a value-exact no-op
-            # since r < q_j, same result as the reference np.where).
-            r = sub_mod(r, d_mod * is_high[..., None, :], st)
-            # Lazy forward transform + lazy difference: the [0, 4p)
-            # window folds into the final Harvey multiply by d^{-1},
-            # skipping the NTT's correction pass (values unchanged).
-            r_ntt = ntt_forward_stacked(
-                r, self.stacked_tables.prefix(k - 1), lazy=True
-            )
-            return packedops.lazy_diff_mul_operand_stacked(
-                matrix[..., : k - 1, :], r_ntt, inv_d, q_hi, q_lo, st
-            )
-
-        last_coeff = ntt_inverse(matrix[..., k - 1, :], self.tables[dropped_idx])
+        # The dropped row transforms as a one-limb stack so the batched
+        # (component) axis rides the fast buffered kernel.
+        last_coeff = ntt_inverse_stacked(
+            matrix[..., k - 1 : k, :],
+            self.stacked_tables_rows((dropped_idx,)),
+        )[..., 0, :]
         is_high = last_coeff > half
-        out = np.empty(matrix.shape[:-2] + (k - 1, self.degree), dtype=np.uint64)
-        for j in range(k - 1):
-            qj = self.key_base[j]
-            inv_d, d_mod = self._scalars(dropped_idx, j)
-            r = barrett_reduce_64(last_coeff, qj)
-            # Centered representative: r - d when the residue is "negative".
-            r = np.where(is_high, sub_mod(r, d_mod, qj), r)
-            r_ntt = ntt_forward(r, self.tables[j])
-            diff = sub_mod(matrix[..., j, :], r_ntt, qj)
-            out[..., j, :] = mul_mod(diff, inv_d, qj)
-        return out
+        st = self.stacked_modulus(k - 1)
+        inv_d, q_hi, q_lo, d_mod = self._scalar_columns(dropped_idx, k - 1)
+        r = barrett_reduce_64(last_coeff[..., None, :], st)
+        # Centered representative: r - d when the residue is "negative"
+        # (subtracting 0 elsewhere is a value-exact no-op since r < q_j,
+        # same result as the reference np.where).
+        r = sub_mod(r, d_mod * is_high[..., None, :], st)
+        # Lazy forward transform + lazy difference: the [0, 4p) window
+        # folds into the final Harvey multiply by d^{-1}, skipping the
+        # NTT's correction pass (values unchanged).
+        r_ntt = ntt_forward_stacked(
+            r, self.stacked_tables.prefix(k - 1), lazy=True
+        )
+        return packedops.lazy_diff_mul_operand_stacked(
+            matrix[..., : k - 1, :], r_ntt, inv_d, q_hi, q_lo, st
+        )
 
-    def rescale_ntt(self, matrix: np.ndarray, level: int, *,
-                    packed: bool | None = None) -> np.ndarray:
+    def rescale_ntt(self, matrix: np.ndarray, level: int) -> np.ndarray:
         """Rescale: drop ``q_{level-1}`` from a level-``level`` matrix."""
         if matrix.shape[-2] != level:
             raise ValueError("matrix does not match level")
-        return self.divide_round_drop_ntt(matrix, level - 1, packed=packed)
+        return self.divide_round_drop_ntt(matrix, level - 1)
 
     # -- lazy caches ------------------------------------------------------------------
 

@@ -30,12 +30,13 @@ comes from ``REPRO_NATIVE_THREADS`` / :func:`set_threads` /
 thread count never changes outputs (the A/B suite pins 1-thread vs
 N-thread bit-identical).
 
-Outputs are bit-identical to the packed and per-limb paths — same
-canonical values, same lazy windows — enforced by the three-way A/B
-suite in ``tests/test_packed_ab.py``.
+Outputs are bit-identical to the packed NumPy path and to the per-limb
+oracle (:mod:`repro.core.reference`) — same canonical values, same lazy
+windows — enforced by the three-way A/B suite in
+``tests/test_packed_ab.py``.
 
 Backend selection (:mod:`repro.native.backend`): ``set_backend("native"
-| "packed" | "serial" | "auto")``, the ``REPRO_BACKEND`` env var, or
+| "packed" | "auto")``, the ``REPRO_BACKEND`` env var, or
 auto-detection (native when a toolchain is present, with a single logged
 fallback otherwise).  ``NTTEngine``, the packed modmath kernels,
 ``CkksContext``, and the RNS scalers all dispatch through it, so

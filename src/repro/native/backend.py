@@ -1,6 +1,6 @@
 """Backend selection for the hot numeric path.
 
-Three execution strategies implement the same bit-identical arithmetic:
+Two execution strategies implement the same bit-identical arithmetic:
 
 ``native``
     Runtime-compiled C kernels (fused stacked-NTT butterflies, dyadic
@@ -8,14 +8,17 @@ Three execution strategies implement the same bit-identical arithmetic:
 ``packed``
     The packed-RNS NumPy kernels (:mod:`repro.modmath.packedops`,
     stacked NTT): whole ``(size, level, N)`` stacks per ufunc pass.
-``serial``
-    The per-limb reference loops retained as the oracle.
+
+Each stacked kernel dispatches on the resolved backend once, inside the
+kernel layer; nothing above it forks.  Both are checked against the
+per-limb loops in :mod:`repro.core.reference`, a test oracle rather
+than a backend.
 
 Selection precedence:
 
 1. an explicit :func:`set_backend` call;
 2. the ``REPRO_BACKEND`` environment variable
-   (``native|packed|serial|auto``);
+   (``native|packed|auto``);
 3. auto-detection: ``native`` when the kernel library builds/loads,
    otherwise ``packed`` (the library layer logs the fallback once).
 
@@ -36,7 +39,7 @@ from typing import Optional
 __all__ = [
     "BACKENDS", "BackendUnavailableError",
     "set_backend", "get_backend", "use_backend",
-    "resolve", "is_native", "is_serial", "packed_default",
+    "resolve", "is_native",
     "invalidate",
     "note_kernel_fault", "degrade", "breaker_state", "reset_breaker",
     "kernel_fault_threshold",
@@ -44,7 +47,7 @@ __all__ = [
 
 logger = logging.getLogger("repro.native")
 
-BACKENDS = ("native", "packed", "serial")
+BACKENDS = ("native", "packed")
 _AUTO = "auto"
 
 _LOCK = threading.RLock()
@@ -183,9 +186,9 @@ def invalidate() -> None:
 # Repeated faults inside the compiled kernels (real crashes would take
 # the process down, so in practice these are the injected faults of
 # repro.faults plus any per-call glue failure) trip a breaker that
-# *downgrades* the backend one tier — native -> packed -> serial — at
-# runtime.  All three tiers are bit-identical, so degradation trades
-# speed for stability without changing a single result.
+# *downgrades* the backend one tier — native -> packed — at runtime.
+# Both tiers are bit-identical, so degradation trades speed for
+# stability without changing a single result.
 
 _BREAKER_FAULTS = 0        # consecutive kernel faults since last trip/reset
 _BREAKER_DEGRADED: Optional[str] = None   # tier the breaker moved to
@@ -223,42 +226,38 @@ def note_kernel_fault(reason: str = "") -> Optional[str]:
 
 
 def degrade(*, reason: str = "") -> str:
-    """Downgrade the backend one tier; returns the new tier.
+    """Downgrade ``native -> packed``; returns the new tier.
 
-    ``native -> packed`` counts in ``repro_native_fallback_total`` (the
-    same counter every other native downgrade uses); every trip counts
-    in ``repro_backend_degraded_total``.  Already at ``serial`` this is
-    a no-op.
+    The trip counts in ``repro_native_fallback_total`` (the same counter
+    every other native downgrade uses) and in
+    ``repro_backend_degraded_total``.  Already at ``packed`` (the lowest
+    tier) this is a no-op.
     """
     global _EXPLICIT, _RESOLVED, _BREAKER_FAULTS, _BREAKER_DEGRADED
     with _LOCK:
+        _BREAKER_FAULTS = 0
         current = _RESOLVED
         if current is None:
             current = _resolve_locked()
-        if current == "serial":
-            _BREAKER_FAULTS = 0
-            return "serial"
-        nxt = "packed" if current == "native" else "serial"
-        _EXPLICIT = nxt
+        if current == "packed":
+            return "packed"
+        _EXPLICIT = _BREAKER_DEGRADED = "packed"
         _RESOLVED = None
-        _BREAKER_DEGRADED = nxt
-        _BREAKER_FAULTS = 0
     logger.warning(
-        "backend circuit breaker: degrading %s -> %s%s",
-        current, nxt, f" ({reason})" if reason else "",
+        "backend circuit breaker: degrading %s -> packed%s",
+        current, f" ({reason})" if reason else "",
     )
-    if current == "native":
-        from . import glue
+    from . import glue
 
-        glue.note_fallback()
+    glue.note_fallback()
     from ..obs import metrics as obs_metrics
 
     obs_metrics.get_registry().counter(
         "repro_backend_degraded_total",
         "Circuit-breaker backend downgrades after repeated kernel faults.",
-        labels={"from": current, "to": nxt},
+        labels={"from": current, "to": "packed"},
     ).inc()
-    return nxt
+    return "packed"
 
 
 def breaker_state() -> dict:
@@ -281,12 +280,3 @@ def reset_breaker() -> None:
 
 def is_native() -> bool:
     return resolve() == "native"
-
-
-def is_serial() -> bool:
-    return resolve() == "serial"
-
-
-def packed_default() -> bool:
-    """Default for the ``packed=`` flags: everything except ``serial``."""
-    return resolve() != "serial"

@@ -264,6 +264,8 @@ def _history_points(data: Dict[str, Any]):
 @figure("backend_trajectory", "Per-backend ops/sec trajectory")
 def _fig_backend_trajectory(data: Dict[str, Any]) -> Optional[Figure]:
     """One small-multiple per op: ops/sec across recorded runs, per backend."""
+    # "serial" is the bench leg timing the per-limb oracle
+    # (repro.core.reference); the name keeps its history continuous.
     backends = ("native", "packed", "serial")
     per_op: Dict[Tuple[str, str], Dict[str, List[Tuple[float, float]]]] = {}
     ticks: Dict[Tuple[str, str], List[str]] = {}

@@ -12,13 +12,10 @@ term as noise (key switching) or eliminate it with a correction residue.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..modmath import Modulus, mul_mod
+from ..modmath import mul_mod
 from ..modmath.ops import add_mod
-from ..native import backend as _backend
 from .base import RNSBase
 
 __all__ = ["BaseConverter"]
@@ -30,8 +27,9 @@ class BaseConverter:
     Precomputes ``inv_punctured`` scalars of the input base and the
     ``(q/q_i) mod p_j`` matrix.  :meth:`convert` runs the packed-RNS
     path: one whole-tensor multiply per step with the per-limb constants
-    broadcast from stacked columns; :meth:`convert_reference` keeps the
-    per-limb loop as the bit-identical oracle.
+    broadcast from stacked columns;
+    :func:`repro.core.reference.convert_reference` keeps the per-limb
+    loop as the bit-identical oracle.
     """
 
     def __init__(self, ibase: RNSBase, obase: RNSBase):
@@ -57,17 +55,13 @@ class BaseConverter:
 
         Packed: ``y`` is one stacked multiply over all input limbs; the
         ``k * m`` output products land as one ``(k, m, n)`` tensor and
-        fold with ``k`` stacked additions.  Bit-identical to
-        :meth:`convert_reference` (same accumulation order per limb).
-        Under the ``serial`` backend the reference loop runs instead;
-        under ``native`` the stacked calls dispatch to the compiled
-        kernels.
+        fold with ``k`` stacked additions.  Bit-identical to the
+        per-limb oracle (same accumulation order per limb); under
+        ``native`` the stacked calls dispatch to the compiled kernels.
         """
         k, n = matrix.shape
         if k != len(self.ibase):
             raise ValueError("matrix does not match input base")
-        if _backend.is_serial():
-            return self.convert_reference(matrix)
         ist = self.ibase.stacked
         ost = self.obase.stacked
         # y_i = [x_i * inv_punc_i] mod q_i  -- exact, per input prime.
@@ -78,23 +72,6 @@ class BaseConverter:
         for i in range(k):
             acc = add_mod(acc, terms[i], ost)
         return acc
-
-    def convert_reference(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-limb oracle for :meth:`convert` (one NumPy call per prime)."""
-        k, n = matrix.shape
-        if k != len(self.ibase):
-            raise ValueError("matrix does not match input base")
-        y = np.empty_like(matrix)
-        for i, qi in enumerate(self.ibase):
-            y[i] = mul_mod(matrix[i], self._inv_punc[i], qi)
-        out = np.zeros((len(self.obase), n), dtype=np.uint64)
-        for j, pj in enumerate(self.obase):
-            acc = np.zeros(n, dtype=np.uint64)
-            for i in range(k):
-                term = mul_mod(y[i], self._punc_mod_out[j, i], pj)
-                acc = add_mod(acc, term, pj)
-            out[j] = acc
-        return out
 
     def overshoot_bound(self) -> int:
         """Max ``alpha`` such that conv(x) = x + alpha*q: the input size."""

@@ -18,8 +18,6 @@ the result is the rounding-to-nearest of ``x/d`` up to 1/2 ulp — the
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from ..modmath import Modulus, inv_mod, mul_mod
@@ -59,20 +57,16 @@ class LastModulusScaler:
         """Apply divide-and-round to a ``(k, n)`` matrix; returns ``(k-1, n)``.
 
         The last row must be the residues modulo the dropped modulus.
-        Packed: the centered-residue correction and the final multiply
-        run once over the whole ``(k-1, n)`` kept stack; bit-identical
-        to :meth:`divide_round_reference`.  Backend dispatch: under
-        ``native`` the whole sequence is one fused compiled pass
-        (``repro_scaler_tail``); under ``serial`` the per-limb reference
-        loop runs instead.
+        The centered-residue correction and the final multiply run once
+        over the whole ``(k-1, n)`` kept stack; bit-identical to the
+        per-limb oracle :func:`repro.core.reference.divide_round_reference`.
+        Under ``native`` the whole sequence is one fused compiled pass
+        (``repro_scaler_tail``).
         """
         k, n = matrix.shape
         if k != len(self.base):
             raise ValueError("matrix does not match base")
-        mode = _backend.resolve()
-        if mode == "serial":
-            return self.divide_round_reference(matrix)
-        if mode == "native":
+        if _backend.is_native():
             out = _native.scaler_tail(
                 matrix, self._half_d, self.kept.stacked,
                 self._inv_d, self._inv_d_quot, self._d_mod,
@@ -82,8 +76,8 @@ class LastModulusScaler:
         last = matrix[-1]
         st = self.kept.stacked
         is_high = last.astype(np.uint64) > np.uint64(self._half_d)
-        # r mod q_j for the centered representative (see reference method
-        # for the derivation).  When d < q_j the % is a value-exact no-op
+        # r mod q_j for the centered representative (see the reference
+        # oracle for the derivation).  When d < q_j the % is a value-exact no-op
         # (last < d < q_j), so it can run unconditionally across limbs.
         last_mod = last[None, :] % st.u64
         r = np.where(
@@ -93,34 +87,6 @@ class LastModulusScaler:
         )
         diff = sub_mod(matrix[:-1], r, st)
         return mul_mod(diff, self._inv_d[:, None], st)
-
-    def divide_round_reference(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-limb oracle for :meth:`divide_round`."""
-        k, n = matrix.shape
-        if k != len(self.base):
-            raise ValueError("matrix does not match base")
-        last = matrix[-1]
-        d = self.dropped.value
-        # Centered representative r in (-d/2, d/2]; store r + d/2 >= 0 trick:
-        # we need (x_j - r) mod q_j; with r possibly negative we compute
-        # x_j + (d - r) == x_j - r (mod d ... careful: mod q_j), so express
-        # r mod q_j from the non-negative residue `last`:
-        #   r = last            if last <= d/2
-        #   r = last - d        otherwise
-        # => r mod q_j = last mod q_j            (first case)
-        #    r mod q_j = (last mod q_j) - (d mod q_j)  (second case)
-        out = np.empty((k - 1, n), dtype=np.uint64)
-        is_high = last.astype(np.uint64) > np.uint64(self._half_d)
-        for j, qj in enumerate(self.kept):
-            last_mod = last % qj.u64 if d >= qj.value else last.copy()
-            r = np.where(
-                is_high,
-                sub_mod(last_mod, self._d_mod[j], qj),
-                last_mod,
-            )
-            diff = sub_mod(matrix[j], r, qj)
-            out[j] = mul_mod(diff, self._inv_d[j], qj)
-        return out
 
     def exact_check_value(self, value: int) -> int:
         """Reference big-integer divide-and-round of a scalar (for tests).

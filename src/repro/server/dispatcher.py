@@ -231,11 +231,20 @@ class ServerSession:
     # -- key / weight installation ------------------------------------------------
 
     def install_relin_key(self, wire: bytes, *, client_id: str = "") -> None:
-        self._space(client_id).relin = from_bytes(load_relin_key, wire)
-        self.artifacts.invalidate(self._art(client_id, "key:relin"))
+        self.set_relin_key(from_bytes(load_relin_key, wire), client_id=client_id)
 
     def install_galois_keys(self, wire: bytes, *, client_id: str = "") -> None:
-        self._space(client_id).galois = from_bytes(load_galois_keys, wire)
+        self.set_galois_keys(from_bytes(load_galois_keys, wire),
+                             client_id=client_id)
+
+    def set_relin_key(self, key, *, client_id: str = "") -> None:
+        """Install an already-decoded relin key (the handshake's path)."""
+        self._space(client_id).relin = key
+        self.artifacts.invalidate(self._art(client_id, "key:relin"))
+
+    def set_galois_keys(self, keys, *, client_id: str = "") -> None:
+        """Install already-decoded Galois keys (the handshake's path)."""
+        self._space(client_id).galois = keys
         self.artifacts.invalidate(self._art(client_id, "key:galois"))
 
     def install_weights(self, name: str, values, *,

@@ -104,18 +104,19 @@ class SessionManager:
         a wire protocol, so errors travel as frames.
         """
         cid = ""
-        # Decode the frame and validate every key blob *before* touching
-        # any state, so a refused handshake is atomic: no session
-        # registered, no key of a rotation pair half-installed (mixed
-        # key generations would silently corrupt rotate/dot results).
+        # Decode the frame and every key blob *before* touching any
+        # state, so a refused handshake is atomic: no session registered,
+        # no key of a rotation pair half-installed (mixed key generations
+        # would silently corrupt rotate/dot results).  The decoded keys
+        # are what gets installed: each blob is decoded exactly once.
         try:
             if isinstance(hello, (bytes, bytearray)):
                 hello = decode_session_hello(hello)
             cid = hello.client_id
-            if hello.relin_wire is not None:
-                from_bytes(load_relin_key, hello.relin_wire)
-            if hello.galois_wire is not None:
-                from_bytes(load_galois_keys, hello.galois_wire)
+            relin = (None if hello.relin_wire is None
+                     else from_bytes(load_relin_key, hello.relin_wire))
+            galois = (None if hello.galois_wire is None
+                      else from_bytes(load_galois_keys, hello.galois_wire))
         except Exception as exc:  # wire boundary: errors become frames
             ack = SessionAck(client_id=cid, ok=False, error=str(exc))
             return encode_session_ack(ack)
@@ -128,13 +129,11 @@ class SessionManager:
                                  created_us=now_us)
             self._sessions[cid] = sess
         sess.handshakes += 1
-        if hello.relin_wire is not None:
-            self._server_session.install_relin_key(
-                hello.relin_wire, client_id=cid)
+        if relin is not None:
+            self._server_session.set_relin_key(relin, client_id=cid)
             sess.has_relin = True
-        if hello.galois_wire is not None:
-            self._server_session.install_galois_keys(
-                hello.galois_wire, client_id=cid)
+        if galois is not None:
+            self._server_session.set_galois_keys(galois, client_id=cid)
             sess.has_galois = True
         ack = SessionAck(
             client_id=cid, ok=True, session_id=sess.session_id,

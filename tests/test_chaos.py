@@ -68,10 +68,9 @@ class TestChaosSoak:
 class TestCircuitBreaker:
     def test_trips_at_threshold(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL_FAULT_THRESHOLD", raising=False)
-        start = backend.resolve()
-        if start == "serial":
+        if backend.resolve() != "native":
             pytest.skip("already at the lowest tier")
-        expect = "packed" if start == "native" else "serial"
+        expect = "packed"
         assert backend.note_kernel_fault() is None
         assert backend.note_kernel_fault() is None
         assert backend.breaker_state()["faults"] == 2
@@ -90,10 +89,13 @@ class TestCircuitBreaker:
         assert glue.fallback_count() == before + 1
         assert backend.get_backend() == "packed"
 
-    def test_degrade_from_serial_is_a_noop(self):
-        backend.set_backend("serial")
-        assert backend.degrade() == "serial"
+    def test_degrade_at_packed_is_a_noop(self):
+        backend.set_backend("packed")
+        before = glue.fallback_count()
+        assert backend.degrade() == "packed"
         assert backend.breaker_state()["degraded_to"] is None
+        assert backend.get_backend() == "packed"
+        assert glue.fallback_count() == before
 
     def test_threshold_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_FAULT_THRESHOLD", "7")

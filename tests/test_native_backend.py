@@ -50,34 +50,65 @@ def _stacked(k=3, n=32, seed=0):
 
 
 def test_backend_names_and_invalid(restore_native):
+    assert native.BACKENDS == ("native", "packed")
     with pytest.raises(ValueError):
         set_backend("vectorized")
-    for name in ("packed", "serial"):
-        set_backend(name)
-        assert get_backend() == name
+    set_backend("packed")
+    assert get_backend() == "packed"
     set_backend("auto")
     assert get_backend() in native.BACKENDS
 
 
-def test_env_var_selects_backend(restore_native, monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "serial")
-    native.reset()
-    assert get_backend() == "serial"
-    # An explicit set_backend overrides the env var.
+def test_set_backend_serial_is_rejected(restore_native):
+    """The per-limb loops are a test oracle, not a selectable backend."""
     set_backend("packed")
-    assert get_backend() == "packed"
+    with pytest.raises(ValueError, match="serial"):
+        set_backend("serial")
+    assert get_backend() == "packed"  # the refused call changed nothing
 
 
-def test_env_var_invalid_falls_back_to_auto(restore_native, monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "warp-speed")
+def test_env_var_selects_backend(restore_native, monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", "packed")
     native.reset()
-    assert get_backend() in ("native", "packed")
+    assert get_backend() == "packed"
+    # An explicit set_backend overrides the env var.
+    if HAVE_TOOLCHAIN:
+        set_backend("native")
+        assert get_backend() == "native"
+
+
+def _assert_invalid_env_falls_back(monkeypatch, caplog, value):
+    """One warning naming ``value``, then plain auto-detection."""
+    monkeypatch.setenv("REPRO_BACKEND", value)
+    native.reset()
+    with caplog.at_level(logging.WARNING, logger="repro.native"):
+        assert get_backend() in ("native", "packed")
+        for _ in range(3):  # re-resolutions must not warn again
+            with use_backend("auto"):
+                get_backend()
+    warnings = [
+        r for r in caplog.records
+        if "ignoring invalid REPRO_BACKEND" in r.getMessage()
+    ]
+    assert len(warnings) == 1
+    assert value in warnings[0].getMessage()
+    assert get_backend() == ("native" if HAVE_TOOLCHAIN else "packed")
+
+
+def test_env_var_invalid_falls_back_to_auto(restore_native, monkeypatch,
+                                            caplog):
+    _assert_invalid_env_falls_back(monkeypatch, caplog, "warp-speed")
+
+
+def test_env_var_serial_is_invalid(restore_native, monkeypatch, caplog):
+    """``REPRO_BACKEND=serial`` names no backend any more."""
+    _assert_invalid_env_falls_back(monkeypatch, caplog, "serial")
 
 
 def test_use_backend_restores(restore_native):
     before = get_backend()
-    with use_backend("serial"):
-        assert get_backend() == "serial"
+    with use_backend("packed"):
+        assert get_backend() == "packed"
     assert get_backend() == before
 
 
@@ -171,45 +202,4 @@ def test_native_backend_dispatches_bit_identically(restore_native):
         want = mul_mod(a, b, st)
     with use_backend("native"):
         got = mul_mod(a, b, st)
-    assert np.array_equal(got, want)
-
-
-def test_packed_pin_survives_serial_backend(restore_native):
-    """Evaluator(packed=True) stays packed end-to-end under a serial backend.
-
-    Regression: the key-switch mod-down used to call
-    ``divide_round_drop_ntt`` without threading the pin, silently running
-    the per-limb loop inside a packed-pinned evaluator.
-    """
-    from unittest import mock
-
-    from repro.core import CkksContext, CkksParameters, Evaluator, KeyGenerator
-    from repro.core.ciphertext import Ciphertext
-
-    params = CkksParameters.default(
-        degree=64, levels=2, scale_bits=23, first_bits=30, special_bits=30
-    )
-    ctx = CkksContext(params)
-    keygen = KeyGenerator(ctx, seed=9)
-    rlk = keygen.relin_key()
-    ev = Evaluator(ctx, packed=True)
-    rng = np.random.default_rng(2)
-    data = np.empty((3, 2, 64), dtype=np.uint64)
-    for i in range(2):
-        data[:, i] = rng.integers(0, ctx.modulus(i).value, (3, 64),
-                                  dtype=np.uint64)
-    t3 = Ciphertext(data, float(params.scale))
-
-    want = ev.relinearize(t3, rlk).data
-    seen = []
-    orig = ctx.divide_round_drop_ntt
-
-    def spy(matrix, dropped_idx, *, packed=None):
-        seen.append(packed)
-        return orig(matrix, dropped_idx, packed=packed)
-
-    with use_backend("serial"):
-        with mock.patch.object(ctx, "divide_round_drop_ntt", side_effect=spy):
-            got = ev.relinearize(t3, rlk).data
-    assert seen and all(p is True for p in seen)
     assert np.array_equal(got, want)

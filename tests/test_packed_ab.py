@@ -1,16 +1,17 @@
-"""A/B property suite: all execution backends are bit-identical.
+"""A/B property suite: every execution backend matches the per-limb oracle.
 
 The packed execution path (stacked modmath kernels, stacked NTT, packed
 evaluator/encryptor/decryptor, packed rns converters) must produce the
-exact same uint64 outputs as the per-limb reference loops it replaced —
-same values, same lazy-reduction windows.  Hypothesis drives random
+exact same uint64 outputs as the per-limb reference loops it replaced
+(:mod:`repro.core.reference`) — same values, same lazy-reduction
+windows.  Hypothesis drives random
 moduli (20-60 bits), levels 1-8, degrees {16, 64, 4096}, and both
 laziness modes through every layer; a deterministic heavyweight case
 pins the paper-shaped N=4096, level-8 stack.
 
 The ``test_native_*`` cases extend the suite to a **three-way** check:
 the compiled kernel backend (:mod:`repro.native`) against both the
-packed-NumPy path and the per-limb serial oracle, over the same random
+packed-NumPy path and the per-limb oracle, over the same random
 moduli / level / degree / laziness space.  When no C toolchain is
 usable, the native legs *skip* visibly (they must not silently pass as
 two-way checks).
@@ -42,6 +43,14 @@ from repro.core import (
     KeyGenerator,
 )
 from repro.core.ciphertext import Ciphertext
+from repro.core.reference import (
+    ReferenceDecryptor,
+    ReferenceEncryptor,
+    ReferenceEvaluator,
+    ReferenceNTTEngine,
+    convert_reference,
+    divide_round_reference,
+)
 from repro.modmath import (
     Modulus,
     StackedModulus,
@@ -165,7 +174,7 @@ def test_stacked_ntt_matches_per_row(seed, k, degree, lazy, lead):
     rng = np.random.default_rng(seed)
     base = _distinct_ntt_base(rng, k, degree)
     packed = NTTEngine(degree, base)
-    serial = NTTEngine(degree, base, packed=False)
+    serial = ReferenceNTTEngine(degree, base)
     x = np.empty(lead + (k, degree), dtype=np.uint64)
     for i, m in enumerate(base):
         x[..., i, :] = rng.integers(0, m.value, lead + (degree,), dtype=np.uint64)
@@ -187,7 +196,7 @@ def test_stacked_ntt_paper_shape_both_laziness_modes():
     rng = np.random.default_rng(7)
     base = _distinct_ntt_base(rng, 8, 4096)
     packed = NTTEngine(4096, base)
-    serial = NTTEngine(4096, base, packed=False)
+    serial = ReferenceNTTEngine(4096, base)
     x = _rand_rows(rng, base, (4096,))
     for lazy in (False, True):
         assert np.array_equal(
@@ -217,7 +226,7 @@ def test_base_converter_packed_matches_reference(seed, kin, kout, n):
     obase = RNSBase(base.moduli[kin:])
     conv = BaseConverter(ibase, obase)
     x = _rand_rows(rng, ibase, (n,))
-    assert np.array_equal(conv.convert(x), conv.convert_reference(x))
+    assert np.array_equal(conv.convert(x), convert_reference(conv, x))
 
 
 @settings(max_examples=20, deadline=None)
@@ -232,7 +241,7 @@ def test_scaler_packed_matches_reference(seed, k, n):
     scaler = LastModulusScaler(base)
     x = _rand_rows(rng, base, (n,))
     assert np.array_equal(
-        scaler.divide_round(x), scaler.divide_round_reference(x)
+        scaler.divide_round(x), divide_round_reference(scaler, x)
     )
 
 
@@ -255,7 +264,7 @@ def ab_scheme():
         "relin": keygen.relin_key(),
         "galois": keygen.galois_keys([1, 3]),
         "packed": Evaluator(context),
-        "serial": Evaluator(context, packed=False),
+        "serial": ReferenceEvaluator(context),
     }
 
 
@@ -342,13 +351,13 @@ def test_encryptor_decryptor_packed_matches_serial(ab_scheme):
     z = rng.normal(size=enc.slots)
     pt = enc.encode(z)
     e_packed = Encryptor(ctx, pk, seed=42)
-    e_serial = Encryptor(ctx, pk, seed=42, packed=False)
+    e_serial = ReferenceEncryptor(ctx, pk, seed=42)
     ct_p = e_packed.encrypt(pt)
     ct_s = e_serial.encrypt(pt)
     # Same seed, same sampling order: the packed encryptor is bit-identical.
     assert np.array_equal(ct_p.data, ct_s.data)
     d_packed = Decryptor(ctx, sk)
-    d_serial = Decryptor(ctx, sk, packed=False)
+    d_serial = ReferenceDecryptor(ctx, sk)
     assert np.array_equal(d_packed.decrypt(ct_p).data, d_serial.decrypt(ct_p).data)
     # And the full packed roundtrip still decodes the message.
     vals = enc.decode(d_packed.decrypt(ct_p))
@@ -362,7 +371,7 @@ def test_paper_shape_evaluator_pin():
     )
     ctx = CkksContext(params)
     assert ctx.max_level == 8
-    ep, es = Evaluator(ctx), Evaluator(ctx, packed=False)
+    ep, es = Evaluator(ctx), ReferenceEvaluator(ctx)
     rng = np.random.default_rng(3)
     scale = float(params.scale)
     a = _random_ct(rng, ctx, 2, 8, scale)
@@ -372,7 +381,7 @@ def test_paper_shape_evaluator_pin():
     assert np.array_equal(ep.rescale(rs).data, es.rescale(rs).data)
 
 
-# -- three-way native / packed / serial ---------------------------------------
+# -- three-way native / packed / reference ------------------------------------
 
 
 @needs_native
@@ -467,8 +476,8 @@ def test_native_ntt_three_way(seed, k, degree, lazy, lead):
     """Native stacked NTT == packed stacked NTT == per-row serial NTT."""
     rng = np.random.default_rng(seed)
     base = _distinct_ntt_base(rng, k, degree)
-    stacked = NTTEngine(degree, base, packed=True)
-    serial = NTTEngine(degree, base, packed=False)
+    stacked = NTTEngine(degree, base)
+    serial = ReferenceNTTEngine(degree, base)
     x = np.empty(lead + (k, degree), dtype=np.uint64)
     for i, m in enumerate(base):
         x[..., i, :] = rng.integers(0, m.value, lead + (degree,), dtype=np.uint64)
@@ -500,15 +509,12 @@ def test_native_scaler_three_way(seed, k, n):
     base = _distinct_ntt_base(rng, k, 16)
     scaler = LastModulusScaler(base)
     x = _rand_rows(rng, base, (n,))
-    ref = scaler.divide_round_reference(x)
+    ref = divide_round_reference(scaler, x)
     with use_backend("native"):
         got_native = scaler.divide_round(x)
     with use_backend("packed"):
         got_packed = scaler.divide_round(x)
-    with use_backend("serial"):
-        got_serial = scaler.divide_round(x)
     assert np.array_equal(got_native, got_packed)
-    assert np.array_equal(got_native, got_serial)
     assert np.array_equal(got_native, ref)
 
 
@@ -521,8 +527,8 @@ def test_native_evaluator_paper_shape_three_way():
     ctx = CkksContext(params)
     keygen = KeyGenerator(ctx, seed=123)
     rlk = keygen.relin_key()
-    ev = Evaluator(ctx, packed=True)
-    ev_serial = Evaluator(ctx, packed=False)
+    ev = Evaluator(ctx)
+    ev_serial = ReferenceEvaluator(ctx)
     rng = np.random.default_rng(3)
     scale = float(params.scale)
     a = _random_ct(rng, ctx, 2, 8, scale)
@@ -564,8 +570,8 @@ def test_native_ntt_threaded_bit_identical(seed, k, degree, lazy):
     """
     rng = np.random.default_rng(seed)
     base = _distinct_ntt_base(rng, k, degree)
-    stacked = NTTEngine(degree, base, packed=True)
-    serial = NTTEngine(degree, base, packed=False)
+    stacked = NTTEngine(degree, base)
+    serial = ReferenceNTTEngine(degree, base)
     x = np.empty((2, k, degree), dtype=np.uint64)
     for i, m in enumerate(base):
         x[:, i, :] = rng.integers(0, m.value, (2, degree), dtype=np.uint64)
@@ -593,7 +599,7 @@ def test_native_evaluator_threaded_bit_identical():
     ctx = CkksContext(params)
     keygen = KeyGenerator(ctx, seed=123)
     rlk = keygen.relin_key()
-    ev = Evaluator(ctx, packed=True)
+    ev = Evaluator(ctx)
     rng = np.random.default_rng(3)
     scale = float(params.scale)
     a = _random_ct(rng, ctx, 2, 8, scale)
@@ -644,16 +650,32 @@ def test_native_thread_knobs():
 
 
 @needs_native
-def test_native_backend_follows_default_evaluator():
-    """Evaluator(packed=None) follows set_backend: serial flips per-limb."""
+def test_native_backend_follows_default_evaluator(monkeypatch):
+    """One Evaluator follows set_backend: the fused native key-switch
+    decompose runs under ``native`` only, and both backends match the
+    per-limb oracle."""
+    from repro.native import glue
+
     params = CkksParameters.default(
         degree=64, levels=2, scale_bits=23, first_bits=30, special_bits=30
     )
     ctx = CkksContext(params)
+    rlk = KeyGenerator(ctx, seed=9).relin_key()
+    t3 = _random_ct(np.random.default_rng(2), ctx, 3, ctx.max_level,
+                    float(params.scale))
+    calls = []
+    real = glue.ks_decompose
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(glue, "ks_decompose", spy)
     ev = Evaluator(ctx)
-    with use_backend("serial"):
-        assert ev.packed is False
-    with use_backend("native"):
-        assert ev.packed is True
-    with use_backend("packed"):
-        assert ev.packed is True
+    want = ReferenceEvaluator(ctx).relinearize(t3, rlk).data
+    for mode, fused in (("native", True), ("packed", False)):
+        calls.clear()
+        with use_backend(mode):
+            got = ev.relinearize(t3, rlk).data
+        assert bool(calls) is fused, mode
+        assert np.array_equal(got, want), mode

@@ -346,6 +346,46 @@ class TestMultiClientSessions:
             assert "mallory" not in server.sessions
             assert "client:mallory:key:relin" not in server.session.artifacts
 
+    def test_handshake_decodes_each_key_blob_once(self, session_server, ckks,
+                                                  monkeypatch):
+        """An accepted hello decodes its relin and Galois blobs once each:
+        the keys validated up front are the keys installed."""
+        from repro.core.serialize import save_galois_keys, save_relin_key
+        from repro.server import (
+            SessionHello,
+            decode_session_ack,
+            dispatcher,
+            encode_session_hello,
+            sessions,
+        )
+
+        counts = {"load_relin_key": 0, "load_galois_keys": 0}
+
+        def counting(name, loader):
+            def load(fp):
+                counts[name] += 1
+                return loader(fp)
+            return load
+
+        for mod in (sessions, dispatcher):
+            for name in counts:
+                monkeypatch.setattr(mod, name,
+                                    counting(name, getattr(mod, name)))
+        server = session_server
+        hello = SessionHello(
+            client_id="carol",
+            relin_wire=to_bytes(save_relin_key, ckks["relin"]),
+            galois_wire=to_bytes(save_galois_keys, ckks["galois"]),
+        )
+        for expected in (1, 2):  # a fresh session, then a key refresh
+            ack = decode_session_ack(
+                server.handshake(encode_session_hello(hello)))
+            assert ack.ok, ack.error
+            assert counts == {"load_relin_key": expected,
+                              "load_galois_keys": expected}
+        sess = server.sessions.get("carol")
+        assert sess.has_relin and sess.has_galois
+
     def test_colon_client_id_rejected(self, session_server):
         """':' is the keyspace separator — crafted ids must not be able
         to collide with another tenant's cached artifacts."""
