@@ -16,24 +16,23 @@ paper's explicit per-tile queues (Sec. III-C.2).  In scheduler mode each
 op carries an optional *lane*: ops sharing a lane stay in-order on one
 tile queue (one request's kernel chain), while different lanes land on
 different tiles and overlap.  This is the execution path of the
-``repro.server`` batched serving subsystem.
+``repro.server`` batched serving subsystem, which records each request's
+pre-timed kernel chain as one step (:meth:`AsyncPipeline.add_chain`,
+replayed by :meth:`~repro.runtime.queue.Queue.submit_chain`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..xesim.device import DeviceSpec
 from ..xesim.kernel import KernelProfile
 from .event import HostClock
-from .queue import Queue
+from .queue import HOST_WORK_PER_OP_US, Queue
 from .scheduler import MultiTileScheduler
 
-__all__ = ["PipelineOp", "PipelineResult", "AsyncPipeline"]
-
-#: Host-side bookkeeping per operation (argument marshalling, graph walk).
-HOST_WORK_PER_OP_US = 3.0
+__all__ = ["PipelineOp", "PipelineChain", "PipelineResult", "AsyncPipeline"]
 
 
 @dataclass(frozen=True)
@@ -46,6 +45,19 @@ class PipelineOp:
 
     profile: KernelProfile
     payload: Optional[Callable[[], None]] = None
+    lane: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class PipelineChain:
+    """An in-order kernel chain with precomputed per-kernel durations.
+
+    Replays exactly like one asynchronous :class:`PipelineOp` per kernel
+    (same clock arithmetic) but lands on its queue as a single event.
+    """
+
+    name: str
+    durations: Tuple[float, ...]
     lane: Optional[int] = None
 
 
@@ -79,7 +91,7 @@ class AsyncPipeline:
         self.device = device
         self.tiles = tiles if scheduler is None else scheduler.use_tiles
         self.scheduler = scheduler
-        self.ops: List[PipelineOp] = []
+        self.ops: List[Union[PipelineOp, PipelineChain]] = []
         self._uploads: List[Tuple[str, int, Optional[int]]] = []
         self._downloads: List[Tuple[str, int, Optional[int]]] = []
 
@@ -93,6 +105,11 @@ class AsyncPipeline:
                payload: Optional[Callable[[], None]] = None,
                *, lane: Optional[int] = None) -> None:
         self.ops.append(PipelineOp(profile, payload, lane))
+
+    def add_chain(self, name: str, durations: Sequence[float],
+                  *, lane: Optional[int] = None) -> None:
+        """Record a pre-timed kernel chain (seconds per kernel) as one step."""
+        self.ops.append(PipelineChain(name, tuple(durations), lane))
 
     def add_download(self, bytes_: int, *, lane: Optional[int] = None,
                      name: str = "results") -> None:
@@ -128,11 +145,7 @@ class AsyncPipeline:
                 syncs += 1
 
         for op in self.ops:
-            queue.submit(op.profile, op.payload)
-            queue.host_sleep(HOST_WORK_PER_OP_US * 1e-6)
-            if mode == "synchronous":
-                queue.wait()
-                syncs += 1
+            syncs += self._submit_op(queue, op, mode)
 
         if self.download_bytes:
             queue.memcpy("results", self.download_bytes, to_device=False)
@@ -144,6 +157,22 @@ class AsyncPipeline:
             device_busy_s=queue.busy_time,
             sync_count=syncs,
         )
+
+    @staticmethod
+    def _submit_op(q: Queue, op: Union[PipelineOp, PipelineChain],
+                   mode: str) -> int:
+        """Submit one recorded step; returns the host syncs it cost."""
+        if isinstance(op, PipelineChain):
+            if mode == "synchronous":
+                raise ValueError("a pre-timed chain submits asynchronously only")
+            q.submit_chain(op.name, op.durations)
+            return 0
+        q.submit(op.profile, op.payload)
+        q.host_sleep(HOST_WORK_PER_OP_US * 1e-6)
+        if mode == "synchronous":
+            q.wait()
+            return 1
+        return 0
 
     def _submit_on_scheduler(self, mode: str) -> int:
         """Submit the recorded graph onto the scheduler's tile queues.
@@ -167,12 +196,7 @@ class AsyncPipeline:
                 syncs += 1
 
         for op in self.ops:
-            q = pick(op.lane)
-            q.submit(op.profile, op.payload)
-            q.host_sleep(HOST_WORK_PER_OP_US * 1e-6)
-            if mode == "synchronous":
-                q.wait()
-                syncs += 1
+            syncs += self._submit_op(pick(op.lane), op, mode)
 
         for name, bytes_, lane in self._downloads:
             pick(lane).memcpy(name, bytes_, to_device=False)

@@ -17,6 +17,15 @@ This is the server's data plane.  One closed :class:`~.batcher.Batch` is
    naturally out-of-order across lanes and devices and can be streamed
    to clients as tiles finish.
 
+Timed chains: an op's kernel chain depends only on the pool device,
+the op, the ciphertext level and (for ``dot_plain``) the weight vector's
+length, so the dispatcher simulates each such chain once — profiles plus
+per-kernel durations on one tile queue — and memoizes it
+(:class:`TimedChain`).  Each request's chain then lands on its lane as
+one :meth:`~repro.runtime.queue.Queue.submit_chain` step, whose clock
+arithmetic is the per-kernel submission's, so the simulated timeline is
+bit-identical to simulating every kernel of every request.
+
 Hot artifacts — NTT twiddle tables, relinearization/Galois keys, encoded
 plaintext weights — are held by an :class:`ArtifactCache` whose backing
 buffers come from the :class:`~repro.runtime.memcache.MemoryCache`
@@ -47,7 +56,9 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .. import faults as _faults
 from ..core.ciphertext import Ciphertext
@@ -62,10 +73,11 @@ from ..core.serialize import (
     load_params,
     load_relin_key,
 )
-from ..fusion import LaunchGroup, batch_chains, plan_profiles
+from ..fusion import batch_chains, plan_profiles
 from ..gpu.profiles import GpuConfig, GpuOpProfiler
 from ..obs import metrics as obs_metrics
 from ..obs import register_process_metrics, tracing
+from ..runtime import queue as _queue
 from ..runtime.memcache import MemoryCache
 from ..runtime.pipeline import AsyncPipeline
 from ..runtime.scheduler import MultiTileScheduler
@@ -77,6 +89,7 @@ from .admission import AdmissionController, AdmissionPolicy, TenantFairness
 from .batcher import Batch, BatchPolicy, RequestBatcher
 from .metrics import RequestRecord, ServerMetrics
 from .request import (
+    SUPPORTED_OPS,
     ServeRequest,
     ServeResponse,
     decode_request,
@@ -87,7 +100,8 @@ from .request import (
 from .sessions import SessionManager
 from .workers import WorkerPool
 
-__all__ = ["ArtifactCache", "ServerSession", "BatchDispatcher", "HEServer"]
+__all__ = ["ArtifactCache", "ServerSession", "BatchDispatcher", "HEServer",
+           "TimedChain"]
 
 #: Default device pool: the paper's two evaluation GPUs, full tiles each.
 DEFAULT_DEVICES: Tuple[Tuple[DeviceSpec, int], ...] = (
@@ -104,6 +118,27 @@ _FP_DEVICE = _faults.faultpoint(
     "fail one pool device shortly after a batch dispatches",
 )
 
+#: Memoized timed chains per dispatcher.  The key space — (pool device,
+#: op, level, weights dim) — is small and finite; the cap only bounds a
+#: pathological mix of weight lengths (the oldest entry goes first).
+CHAIN_MEMO_CAP = 256
+
+#: ``(op, level, weights dim)``: what an op's kernel chain depends on
+#: besides the device (dim is 0 for ops without weights).
+ChainKey = Tuple[str, int, int]
+
+
+class TimedChain(NamedTuple):
+    """One op's kernel chain with its simulated per-kernel durations.
+
+    ``durations[i]`` is ``simulate_kernel(profiles[i], device, tiles=1)``
+    in seconds — what a per-tile queue charges for that kernel.
+    """
+
+    profiles: Tuple[KernelProfile, ...]
+    durations: Tuple[float, ...]
+    launches: int
+
 
 def _rotation_steps(dim: int) -> List[int]:
     """Rotation steps of the rotate-and-add inner-product tree.
@@ -114,6 +149,13 @@ def _rotation_steps(dim: int) -> List[int]:
     from ..apps.inference import rotation_steps_needed
 
     return rotation_steps_needed(dim)
+
+
+def _durations(profiles: Sequence[KernelProfile],
+               device: DeviceSpec) -> Tuple[float, ...]:
+    """Per-kernel simulated seconds on one tile of ``device``."""
+    return tuple(_queue.simulate_kernel(p, device, tiles=1).time_s
+                 for p in profiles)
 
 
 class ArtifactCache:
@@ -333,11 +375,24 @@ class ServerSession:
 
     # -- operation execution -------------------------------------------------------
 
-    def op_profiles(self, op: str, level: int, meta: Dict,
-                    profiler: GpuOpProfiler, *,
-                    client_id: str = "") -> List[KernelProfile]:
+    def chain_key(self, op: str, level: int, meta: Dict, *,
+                  client_id: str = "") -> ChainKey:
+        """The request's :data:`ChainKey`; raises the typed validation
+        errors (unknown op, unknown weights) a request must get."""
+        if op not in SUPPORTED_OPS:
+            raise ValueError(f"unsupported op {op!r}")  # pragma: no cover
+        dim = 0
+        if op == "dot_plain":
+            _owner, (_padded, dim) = self._weights_entry(
+                meta["weights"], client_id)
+        return op, level, dim
+
+    @staticmethod
+    def op_profiles(op: str, level: int, dim: int,
+                    profiler: GpuOpProfiler) -> List[KernelProfile]:
         """The kernel chain one op submits — timing only, no ciphertext
-        math and no artifact-counter side effects (usable for baselines)."""
+        math and no artifact-counter side effects (usable for baselines).
+        ``(op, level, dim)`` is a :meth:`chain_key`."""
         if op == "square":
             return (profiler.square(level) + profiler.relinearize(level)
                     + profiler.rescale(level))
@@ -350,24 +405,22 @@ class ServerSession:
             return profiler.rotate(level)
         if op == "multiply_plain":
             return profiler.multiply_plain(level)
-        if op == "dot_plain":
-            _owner, (_padded, dim) = self._weights_entry(
-                meta["weights"], client_id)
-            profs = profiler.multiply_plain(level)
-            for _step in _rotation_steps(dim):
-                profs = profs + profiler.rotate(level) + profiler.add(level)
-            return profs
-        raise ValueError(f"unsupported op {op!r}")  # pragma: no cover
+        # dot_plain
+        profs = profiler.multiply_plain(level)
+        for _step in _rotation_steps(dim):
+            profs.extend(profiler.rotate(level))
+            profs.extend(profiler.add(level))
+        return profs
 
     def result_nbytes(self, op: str, level: int) -> int:
         """Size of the result ciphertext (download-cost modelling)."""
         out_level = level - 1 if op in ("square", "multiply") else level
         return 2 * out_level * self.context.degree * 8
 
-    def execute_plan(
-        self, req: ServeRequest, profiler: GpuOpProfiler,
-    ) -> Tuple[List[KernelProfile], Callable[[], Ciphertext]]:
-        """Split one request into (profiles, pure-math thunk).
+    def execute_plan(self, req: ServeRequest,
+                     chains: Callable[[ChainKey], TimedChain],
+                     ) -> Tuple[TimedChain, Callable[[], Ciphertext]]:
+        """Split one request into (its timed chain, pure-math thunk).
 
         Everything with bookkeeping side effects — artifact-cache gets
         (hit/miss counters, simulated malloc costs) and request
@@ -375,14 +428,15 @@ class ServerSession:
         thunk is pure evaluator math over the captured keys/plaintexts,
         safe to run on any worker thread.  This is what lets the
         dispatcher fan evaluation out while keeping every simulated-time
-        counter bit-identical to the inline run.
+        counter bit-identical to the inline run.  Only a request that
+        passed validation reaches ``chains(key)``, the device's memoized
+        chain lookup.
         """
         ev = self.evaluator
         cid = req.client_id
         ct = req.cts[0]
         lvl = ct.level
-        profs = self.op_profiles(req.op, lvl, req.meta, profiler,
-                                 client_id=cid)
+        key = self.chain_key(req.op, lvl, req.meta, client_id=cid)
         if req.op == "square":
             rlk = self._relin_artifact(cid)
             thunk = lambda: ev.rescale(ev.relinearize(ev.square(ct), rlk))
@@ -402,7 +456,7 @@ class ServerSession:
             pt, _dim = self.weight_plaintext(req.meta["weights"], lvl,
                                              client_id=cid)
             thunk = lambda: ev.multiply_plain(ct, pt)
-        else:  # dot_plain (op_profiles already rejected anything else)
+        else:  # dot_plain (chain_key already rejected anything else)
             gk = self._galois_artifact(cid)
             pt, dim = self.weight_plaintext(req.meta["weights"], lvl,
                                             client_id=cid)
@@ -412,13 +466,7 @@ class ServerSession:
                 for step in _rotation_steps(dim):
                     acc = ev.add(acc, ev.rotate(acc, step, gk))
                 return acc
-        return profs, thunk
-
-    def execute(self, req: ServeRequest,
-                profiler: GpuOpProfiler) -> Tuple[Ciphertext, List[KernelProfile]]:
-        """Compute the true result and the kernel chain for one request."""
-        profs, thunk = self.execute_plan(req, profiler)
-        return thunk(), profs
+        return chains(key), thunk
 
 
 class BatchDispatcher:
@@ -467,6 +515,30 @@ class BatchDispatcher:
             GpuOpProfiler(session.context.degree, dev, replace(base, tiles=tiles))
             for dev, tiles in self.devices
         ]
+        #: (pool index,) + ChainKey -> TimedChain, insertion-ordered.
+        self._chains: Dict[tuple, TimedChain] = {}
+
+    def _timed_chain(self, pool_idx: int, key: ChainKey) -> TimedChain:
+        """The memoized timed chain of ``key`` on pool device ``pool_idx``.
+
+        A miss builds the profiles and simulates each kernel once, as a
+        one-tile queue would (``simulate_kernel`` is looked up on the
+        runtime queue module, the binding ``Queue.submit`` uses).  Called
+        only from the dispatching thread (``HEServer`` dispatches under
+        its coordination lock), so the lookup-then-insert needs no lock.
+        """
+        mkey = (pool_idx,) + key
+        chain = self._chains.get(mkey)
+        if chain is None:
+            dev = self.devices[pool_idx][0]
+            profs = tuple(ServerSession.op_profiles(
+                *key, self._profilers[pool_idx]))
+            chain = TimedChain(profs, _durations(profs, dev),
+                               sum(p.launches for p in profs))
+            if len(self._chains) >= CHAIN_MEMO_CAP:
+                del self._chains[next(iter(self._chains))]
+            self._chains[mkey] = chain
+        return chain
 
     # -- failure injection ---------------------------------------------------------
 
@@ -594,6 +666,49 @@ class BatchDispatcher:
             return pool.map_ordered(one, jobs)
         return [one(j) for j in jobs]
 
+    def _record_lanes(
+        self, pipe: AsyncPipeline, pool_idx: int,
+        chains: Sequence[Tuple[ServeRequest, TimedChain]],
+        lanes: Dict[str, int], results: Dict[str, Ciphertext],
+    ) -> None:
+        """Record every served request's upload, kernel chain and result
+        download onto ``pipe``, one lane step per chain, and count the
+        launches.
+
+        With fusion on, same-shape chains widen into one launch group
+        (Fig. 8) and each group's chain is fused once — the planner is
+        linear in the batch width, so widen-then-plan equals
+        plan-then-widen but plans each distinct shape once.  A group's
+        fused kernels are simulated here; unfused chains reuse their
+        memoized durations.
+        """
+        raw = sum(chain.launches for _, chain in chains)
+        self.raw_launches += raw
+        if self.fusion_enabled:
+            dev = self.devices[pool_idx][0]
+            laned = []
+            for lane, group in enumerate(batch_chains(
+                    [(req.request_id, chain.profiles)
+                     for req, chain in chains])):
+                profs = plan_profiles(group.profiles).profiles
+                self.submitted_launches += sum(p.launches for p in profs)
+                laned.append((lane, group.request_ids,
+                              _durations(profs, dev)))
+        else:
+            self.submitted_launches += raw
+            laned = [(lanes[req.request_id], (req.request_id,),
+                      chain.durations) for req, chain in chains]
+        by_id = {req.request_id: req for req, _ in chains}
+        for lane, rids, durations in laned:
+            for rid in rids:
+                pipe.add_upload(by_id[rid].wire_bytes, lane=lane,
+                                name=f"req:{rid}:inputs")
+            tag = rids[0] if len(rids) == 1 else f"{rids[0]}x{len(rids)}"
+            pipe.add_chain(f"req:{tag}:chain", durations, lane=lane)
+            for rid in rids:
+                pipe.add_download(results[rid].data.nbytes, lane=lane,
+                                  name=f"req:{rid}:result")
+
     def _dispatch_on_device(
         self, pool_idx: int, reqs: List[ServeRequest],
         batch: Batch, free_at_us: Dict[str, float],
@@ -619,7 +734,7 @@ class BatchDispatcher:
 
         sched = MultiTileScheduler(device=dev, use_tiles=tiles, strict=False)
         pipe = AsyncPipeline(dev, scheduler=sched)
-        profiler = self._profilers[pool_idx]
+        chain_of = partial(self._timed_chain, pool_idx)
         session.ntt_tables_artifact(dev)
 
         # Phase 1 (sequential): all bookkeeping side effects — scratch
@@ -632,8 +747,8 @@ class BatchDispatcher:
         results: Dict[str, Ciphertext] = {}
         failures: Dict[str, str] = {}
         lanes: Dict[str, int] = {}  # request id -> lane (fusion off)
-        chains: List[Tuple[ServeRequest, List[KernelProfile]]] = []
-        planned: List[Tuple[ServeRequest, List[KernelProfile], Callable]] = []
+        chains: List[Tuple[ServeRequest, TimedChain]] = []
+        planned: List[Tuple[ServeRequest, TimedChain, Callable]] = []
         with tracing.span("dispatch.plan", cat="server", device=label,
                           requests=len(live)):
             for req in live:
@@ -641,11 +756,11 @@ class BatchDispatcher:
                 alloc_cost_us += cost_us
                 scratch.append(buf)
                 try:
-                    profs, thunk = session.execute_plan(req, profiler)
+                    chain, thunk = session.execute_plan(req, chain_of)
                 except (KeyError, ValueError) as exc:
                     failures[req.request_id] = str(exc)
                     continue
-                planned.append((req, profs, thunk))
+                planned.append((req, chain, thunk))
         # Phase 2 (parallel when a pool is attached): the pure ciphertext
         # math.  map_ordered keeps submission order, so the lane/chain
         # assembly below is identical to the inline run.
@@ -654,48 +769,16 @@ class BatchDispatcher:
                           requests=len(planned)):
             evaluated = self._evaluate(
                 [(req.request_id, t) for req, _, t in planned])
-        for (req, profs, _thunk), outcome in zip(planned, evaluated):
+        for (req, chain, _thunk), outcome in zip(planned, evaluated):
             result, err = outcome
             if err is not None:
                 failures[req.request_id] = err
                 continue
             results[req.request_id] = result
             lanes[req.request_id] = lane_of[id(req)]
-            chains.append((req, profs))
+            chains.append((req, chain))
 
-        self.raw_launches += sum(p.launches for _, c in chains for p in c)
-        by_id = {req.request_id: req for req, _ in chains}
-        if self.fusion_enabled:
-            # Widen same-shape chains from different requests into one
-            # launch group (Fig. 8), then fuse each group's chain once —
-            # the planner is linear in the batch width, so widen-then-plan
-            # equals plan-then-widen but plans each distinct shape once.
-            groups = [
-                LaunchGroup(g.request_ids, plan_profiles(g.profiles).profiles)
-                for g in batch_chains(
-                    [(req.request_id, profs) for req, profs in chains]
-                )
-            ]
-            laned = list(enumerate(groups))
-        else:
-            laned = [
-                (lanes[req.request_id],
-                 LaunchGroup((req.request_id,), tuple(profs)))
-                for req, profs in chains
-            ]
-        self.submitted_launches += sum(g.launches for _, g in laned)
-
-        for lane, group in laned:
-            for rid in group.request_ids:
-                pipe.add_upload(by_id[rid].wire_bytes, lane=lane,
-                                name=f"req:{rid}:inputs")
-            tag = (group.request_ids[0] if group.width == 1
-                   else f"{group.request_ids[0]}x{group.width}")
-            for p in group.profiles:
-                pipe.add_op(replace(p, name=f"req:{tag}:{p.name}"), lane=lane)
-            for rid in group.request_ids:
-                pipe.add_download(results[rid].data.nbytes, lane=lane,
-                                  name=f"req:{rid}:result")
+        self._record_lanes(pipe, pool_idx, chains, lanes, results)
 
         # Host-side allocation costs (scratch + artifact misses) delay the
         # epoch's submissions — with the cache warm they shrink to the
@@ -1000,13 +1083,21 @@ class HEServer:
         """
         heap: List[Tuple[float, int, ServeResponse]] = []
         seq = 0
+        #: Latest completion recorded by this call (yielded or not).
+        last_us = 0.0
+
+        def push(resp: ServeResponse) -> None:
+            nonlocal seq, last_us
+            heapq.heappush(heap, (resp.yielded_at_us, seq, resp))
+            seq += 1
+            last_us = max(last_us, resp.complete_us)
+
         with self._mu:
             with tracing.span("batch.form", cat="server"):
                 batches = self.batcher.form_batches(drain=True,
                                                     now_us=self._clock_us)
             for resp in self._expire_batcher_sheds():
-                heapq.heappush(heap, (resp.yielded_at_us, seq, resp))
-                seq += 1
+                push(resp)
         undispatched = list(batches)
         try:
             for batch in batches:
@@ -1019,8 +1110,7 @@ class HEServer:
                 with self._mu:
                     undispatched.remove(batch)
                     for resp in self._dispatch_recorded(batch):
-                        heapq.heappush(heap, (resp.yielded_at_us, seq, resp))
-                        seq += 1
+                        push(resp)
             while heap:
                 _, _, resp = heapq.heappop(heap)
                 yield encode_response(resp) if wire else resp
@@ -1029,10 +1119,7 @@ class HEServer:
                 for batch in undispatched:
                     for req in batch.requests:
                         self.batcher.add(req)
-                self._clock_us = max(
-                    [self._clock_us]
-                    + [r.complete_us for r in self._responses.values()]
-                )
+                self._clock_us = max(self._clock_us, last_us)
                 self.metrics.requeued_total = self.dispatcher.requeued
                 self._sync_cache_metrics()
 
@@ -1290,8 +1377,9 @@ class HEServer:
         for req in sorted(requests, key=lambda r: r.arrival_us):
             level = req.cts[0].level
             try:
-                profs = session.op_profiles(req.op, level, req.meta, profiler,
-                                            client_id=req.client_id)
+                profs = session.op_profiles(
+                    *session.chain_key(req.op, level, req.meta,
+                                       client_id=req.client_id), profiler)
             except (KeyError, ValueError):
                 continue  # the batched path rejected it too
             pipe = AsyncPipeline(dev, tiles=1)

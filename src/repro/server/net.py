@@ -177,6 +177,9 @@ class SocketServer:
         self._server = await asyncio.start_server(
             self._serve_conn, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
+        # Publish the series before the first tick: a scrape racing the
+        # first routed response must not find them missing.
+        self.export_metrics()
         self.pump.start()
         return self
 

@@ -322,3 +322,23 @@ class TestPipelineOnScheduler:
         pipe = AsyncPipeline(DEVICE1, scheduler=sched)
         with pytest.raises(ValueError):
             pipe.speedup_async_over_sync()
+
+    def test_chain_step_equals_its_kernels(self):
+        """A pre-timed chain replays its kernels' timeline in one event;
+        synchronous mode cannot replay it and says so."""
+        from repro.xesim import simulate_kernel
+
+        profs = [profile(cycles=c) for c in (50.0, 500.0, 5.0, 2000.0)]
+        per_kernel, per_kernel_pipe = self.build(lanes=1, ops_per_lane=0)
+        chained, chained_pipe = self.build(lanes=1, ops_per_lane=0)
+        for p in profs:
+            per_kernel_pipe.add_op(p, lane=0)
+        chained_pipe.add_chain(
+            "chain", [simulate_kernel(p, DEVICE1).time_s for p in profs],
+            lane=0)
+        a, b = per_kernel_pipe.run(), chained_pipe.run()
+        assert b.total_time_s == a.total_time_s
+        assert chained.queues[0].device_time == per_kernel.queues[0].device_time
+        assert len(chained.queues[0].events) == 3  # upload, chain, download
+        with pytest.raises(ValueError, match="asynchronously"):
+            chained_pipe.run("synchronous")

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import MemoryCache, Queue
-from repro.xesim import DEVICE2, KernelProfile
+from repro.runtime.queue import HOST_WORK_PER_OP_US
+from repro.xesim import DEVICE2, KernelProfile, simulate_kernel
 
 # Random malloc/free scripts: positive = malloc of that size, None = free
 # the oldest live buffer.
@@ -77,6 +78,37 @@ def test_queue_events_in_order_and_gapless(cycles):
     assert q.device_time == intervals[-1][1]
     # Busy time equals the sum of durations (no double counting).
     assert abs(q.busy_time - sum(e - s for s, e in intervals)) < 1e-9
+
+
+@given(
+    prior=st.lists(st.tuples(st.floats(min_value=1.0, max_value=1e5),
+                             st.floats(min_value=0.0, max_value=1e-3)),
+                   max_size=6),
+    cycles=st.lists(st.floats(min_value=1e-3, max_value=1e6),
+                    min_size=1, max_size=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_submit_chain_matches_per_kernel_submit(prior, cycles):
+    """One ``submit_chain`` == per-kernel ``submit`` + ``host_sleep``,
+    bit for bit, from any queue and host-clock state."""
+    queues = [Queue(device=DEVICE2), Queue(device=DEVICE2)]
+    for q in queues:  # the same arbitrary prior state on both
+        for i, (c, sleep_s) in enumerate(prior):
+            q.submit(KernelProfile(f"p{i}", 10_000, c, c, 8.0 * c))
+            q.host_sleep(sleep_s)
+    per_kernel, chained = queues
+    profiles = [KernelProfile(f"k{i}", 4096, c, c, 64.0 * c)
+                for i, c in enumerate(cycles)]
+    for p in profiles:
+        per_kernel.submit(p)
+        per_kernel.host_sleep(HOST_WORK_PER_OP_US * 1e-6)
+    ev = chained.submit_chain(
+        "chain", [simulate_kernel(p, DEVICE2).time_s for p in profiles])
+    assert chained.device_time == per_kernel.device_time
+    assert chained.clock.now == per_kernel.clock.now
+    assert ev.device_end == per_kernel.events[-1].device_end
+    assert ev.device_start == per_kernel.events[len(prior)].device_start
+    assert abs(chained.busy_time - per_kernel.busy_time) < 1e-9
 
 
 @given(

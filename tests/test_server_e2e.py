@@ -215,6 +215,39 @@ class TestEndToEndServing:
             assert np.abs(client.result(rid).real - v * v).max() < 1e-3
         assert first.request_id in ids
 
+    def test_stream_clock_scan_is_per_call(self, ckks, rng):
+        """stream() advances the clock from the responses it recorded
+        itself — never by scanning every response the server ever
+        served — including a dispatched batch whose responses were not
+        yet yielded when the consumer walked away."""
+
+        class CountingDict(dict):
+            values_calls = 0
+
+            def values(self):
+                self.values_calls += 1
+                return super().values()
+
+        server, client = make_pair(
+            ckks,
+            devices=[(DEVICE2, 1)],
+            policy=BatchPolicy(max_batch=2, window_us=10.0),
+        )
+        server._responses = CountingDict()
+        enc = ckks["encoder"]
+        # Two batches, both dispatched before the first completion.
+        for t in (0.0, 1.0, 20.0, 21.0):
+            client.submit_square(rng.normal(size=enc.slots), arrival_us=t)
+        stream = client.stream()
+        first = next(stream)
+        stream.close()  # three dispatched responses are still unyielded
+        recorded = dict.values(server._responses)
+        assert len(recorded) == 4
+        assert server._clock_us == max(r.complete_us for r in recorded)
+        assert server._clock_us > first.complete_us
+        client.serve()
+        assert server._responses.values_calls == 0
+
     def test_metrics_are_consistent(self, ckks, rng):
         server, client = make_pair(
             ckks,

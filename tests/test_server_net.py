@@ -149,6 +149,23 @@ class TestSocketSoak:
         assert "repro_net_frames_total" in text
         assert "repro_pump_responses_total" in text
 
+    def test_metric_series_exist_before_first_tick(self, ckks):
+        """A scrape right after start — before any pump tick could have
+        exported — already sees the socket series (a client used to be
+        able to read its response and scrape before the tick's export)."""
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        bg = serve_in_background(_server(ckks), pump_ms=60_000.0,
+                                 registry=registry)
+        try:
+            text = registry.render_prometheus()
+            assert bg.server.pump.ticks == 0
+        finally:
+            bg.stop()
+        assert "repro_net_frames_total" in text
+        assert "repro_pump_responses_total" in text
+
 
 class TestDisconnectResume:
     def test_midstream_disconnect_parks_then_resume_collects(self, ckks):
